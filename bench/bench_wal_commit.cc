@@ -10,6 +10,12 @@
 // batch size (the bench aborts unless batch 1024 shows at least a 4x
 // reduction vs. per-insert sync).
 //
+// A separate "report" row prices the streaming protocol itself: a fixed
+// stream of ReportPosition calls (close the previous entry, insert the
+// current one) with no Advance. A report is one acknowledgement, so it is
+// one group commit — the checker gates fsyncs_per_report <= 1.0 while
+// wal_records_per_report approaches 2 (close + insert).
+//
 // Syncs are counted at the WalStore boundary through the
 // FaultInjectionWalStore decorator (no faults installed) — the same
 // counter the crash-matrix tests use — so "fsyncs" means actual store
@@ -48,6 +54,49 @@ struct CommitPoint {
   double fsyncs_per_record = 0;
 };
 
+struct ReportPoint {
+  uint64_t reports = 0;
+  double reports_per_sec = 0;
+  uint64_t wal_appends = 0;
+  uint64_t wal_syncs = 0;
+  double fsyncs_per_report = 0;
+  double wal_records_per_report = 0;
+};
+
+void Check(const Status& st, const char* what) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
+    std::abort();
+  }
+}
+
+/// A durable paper-default index over memory stores. Members are declared
+/// so the Wal outlives the pool (whose destructor-time flush enforces the
+/// WAL rule against it) and the pager outlives both.
+struct DurableStack {
+  std::unique_ptr<Pager> pager = Pager::OpenMemory();
+  std::unique_ptr<WalStore> base_wal = WalStore::OpenMemory();
+  FaultInjectionWalStore store{base_wal.get()};  // Sync counter; no faults.
+  std::unique_ptr<Wal> wal;
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<SwstIndex> idx;
+  SwstOptions options = PaperSwstOptions();
+
+  explicit DurableStack(obs::MetricsRegistry* registry) {
+    WalOptions wopts;
+    wopts.metrics = registry;
+    auto w = Wal::Open(&store, wopts);
+    Check(w.status(), "Wal::Open");
+    wal = std::move(*w);
+    pool = std::make_unique<BufferPool>(pager.get(), 1 << 14);
+    pool->AttachWal(wal.get());
+    options.wal = wal.get();
+    auto i = SwstIndex::Create(pool.get(), options);
+    Check(i.status(), "Create");
+    idx = std::move(*i);
+  }
+};
+
 // Fixed arrival clock inside the first window: the bench measures commit
 // cost, so nothing should expire or slide mid-run.
 Entry MakeBenchEntry(Random* rng, ObjectId oid, const SwstOptions& options) {
@@ -62,53 +111,26 @@ Entry MakeBenchEntry(Random* rng, ObjectId oid, const SwstOptions& options) {
 
 CommitPoint RunPoint(uint64_t batch, uint64_t records,
                      obs::MetricsRegistry* registry) {
-  auto pager = Pager::OpenMemory();
-  auto base_wal = WalStore::OpenMemory();
-  FaultInjectionWalStore store(base_wal.get());  // Sync counter; no faults.
-
-  WalOptions wopts;
-  wopts.metrics = registry;
-  auto wal = Wal::Open(&store, wopts);
-  if (!wal.ok()) {
-    std::fprintf(stderr, "Wal::Open: %s\n", wal.status().ToString().c_str());
-    std::abort();
-  }
-  BufferPool pool(pager.get(), 1 << 14);
-  pool.AttachWal(wal->get());
-
-  SwstOptions options = PaperSwstOptions();
-  options.wal = wal->get();
-  auto idx_or = SwstIndex::Create(&pool, options);
-  if (!idx_or.ok()) {
-    std::fprintf(stderr, "Create: %s\n", idx_or.status().ToString().c_str());
-    std::abort();
-  }
-  auto idx = std::move(*idx_or);
-
+  DurableStack s(registry);
   Random rng(/*seed=*/batch * 7919 + 1);
-  const uint64_t syncs0 = store.syncs();
-  const uint64_t appends0 = store.appends();
+  const uint64_t syncs0 = s.store.syncs();
+  const uint64_t appends0 = s.store.appends();
   ObjectId oid = 1;
   uint64_t done = 0;
   const auto t0 = std::chrono::steady_clock::now();
   while (done < records) {
     const uint64_t n = std::min(batch, records - done);
-    Status st;
     if (n == 1) {
-      st = idx->Insert(MakeBenchEntry(&rng, oid, options));
+      Check(s.idx->Insert(MakeBenchEntry(&rng, oid, s.options)), "insert");
       ++oid;
     } else {
       std::vector<Entry> group;
       group.reserve(n);
       for (uint64_t j = 0; j < n; ++j) {
-        group.push_back(MakeBenchEntry(&rng, oid, options));
+        group.push_back(MakeBenchEntry(&rng, oid, s.options));
         ++oid;
       }
-      st = idx->InsertBatch(group);
-    }
-    if (!st.ok()) {
-      std::fprintf(stderr, "insert: %s\n", st.ToString().c_str());
-      std::abort();
+      Check(s.idx->InsertBatch(group), "insert");
     }
     done += n;
   }
@@ -119,10 +141,49 @@ CommitPoint RunPoint(uint64_t batch, uint64_t records,
   p.batch = batch;
   p.records = records;
   p.records_per_sec = (secs > 0) ? records / secs : 0;
-  p.wal_appends = store.appends() - appends0;
-  p.wal_syncs = store.syncs() - syncs0;
+  p.wal_appends = s.store.appends() - appends0;
+  p.wal_syncs = s.store.syncs() - syncs0;
   p.fsyncs_per_record =
       (records > 0) ? static_cast<double>(p.wal_syncs) / records : 0;
+  return p;
+}
+
+// The report stream: kObjects objects report round-robin, one tick apart,
+// for kRounds rounds — every report after an object's first closes its
+// previous entry. 4096 reports fit well inside one WAL segment and one
+// window, so no rotation or expiry adds a sync.
+ReportPoint RunReports(obs::MetricsRegistry* registry) {
+  constexpr uint64_t kObjects = 64;
+  constexpr uint64_t kRounds = 64;
+  DurableStack s(registry);
+  Random rng(/*seed=*/4243);
+  std::vector<Entry> open(kObjects);
+  const uint64_t syncs0 = s.store.syncs();
+  const uint64_t appends0 = s.store.appends();
+  const Lsn lsn0 = s.wal->last_lsn();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t round = 0; round < kRounds; ++round) {
+    for (uint64_t k = 0; k < kObjects; ++k) {
+      const Point pos{rng.UniformDouble(s.options.space.lo.x,
+                                        s.options.space.hi.x),
+                      rng.UniformDouble(s.options.space.lo.y,
+                                        s.options.space.hi.y)};
+      Check(s.idx->ReportPosition(k + 1, pos, 100 + round,
+                                  round == 0 ? nullptr : &open[k], &open[k]),
+            "report");
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+
+  const double secs = std::chrono::duration<double>(t1 - t0).count();
+  ReportPoint p;
+  p.reports = kObjects * kRounds;
+  p.reports_per_sec = (secs > 0) ? p.reports / secs : 0;
+  p.wal_appends = s.store.appends() - appends0;
+  p.wal_syncs = s.store.syncs() - syncs0;
+  p.fsyncs_per_report = static_cast<double>(p.wal_syncs) / p.reports;
+  p.wal_records_per_report =
+      static_cast<double>(s.wal->last_lsn() - lsn0) / p.reports;
   return p;
 }
 
@@ -144,6 +205,7 @@ int main(int argc, char** argv) {
   for (uint64_t batch : batches) {
     points.push_back(RunPoint(batch, records, &registry));
   }
+  const ReportPoint report = RunReports(&registry);
 
   // Acceptance gate: group commit at batch 1024 must cut fsyncs/record
   // by at least 4x vs. per-insert sync (in practice it is ~batch-size x).
@@ -161,8 +223,17 @@ int main(int argc, char** argv) {
   }
 
   std::printf("{\n  \"bench\": \"wal_commit\",\n");
-  std::printf("  \"records_per_point\": %llu,\n  \"results\": [\n",
+  std::printf("  \"records_per_point\": %llu,\n",
               static_cast<unsigned long long>(records));
+  std::printf(
+      "  \"report\": {\"reports\": %llu, \"reports_per_sec\": %.1f, "
+      "\"wal_appends\": %llu, \"wal_syncs\": %llu, "
+      "\"fsyncs_per_report\": %.6f, \"wal_records_per_report\": %.6f},\n",
+      static_cast<unsigned long long>(report.reports), report.reports_per_sec,
+      static_cast<unsigned long long>(report.wal_appends),
+      static_cast<unsigned long long>(report.wal_syncs),
+      report.fsyncs_per_report, report.wal_records_per_report);
+  std::printf("  \"results\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const CommitPoint& p = points[i];
     std::printf(

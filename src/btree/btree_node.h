@@ -125,7 +125,7 @@ inline Result<PageHandle> FetchNode(BufferPool* pool, PageId id) {
   auto page = pool->Fetch(id);
   if (!page.ok()) return page.status();
   SWST_RETURN_IF_ERROR(CheckNodeHeader(page->As<NodeHeader>(), id));
-  return std::move(page);
+  return page;
 }
 
 /// First index i with keys[i] >= key (descend here for leftmost search).

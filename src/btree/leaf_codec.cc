@@ -77,7 +77,8 @@ void EncodeV1(void* page, const BTreeRecord* recs, size_t n) {
   leaf->header.type = kLeafType;
   leaf->header.count = static_cast<uint16_t>(n);
   leaf->header.next = kInvalidPageId;
-  std::memcpy(leaf->records, recs, sizeof(BTreeRecord) * n);
+  // An empty leaf may come with a null `recs`, which memcpy forbids.
+  if (n != 0) std::memcpy(leaf->records, recs, sizeof(BTreeRecord) * n);
 }
 
 size_t EncodeV2(void* page, const BTreeRecord* recs, size_t n) {

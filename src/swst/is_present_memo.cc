@@ -3,28 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 namespace swst {
 
 namespace {
 
-// Conservative double->float rounding so the stored MBR always *contains*
-// the true coordinates: mins round toward -inf, maxes toward +inf.
-float FloorFloat(double v) {
-  float f = static_cast<float>(v);
-  if (static_cast<double>(f) > v) {
-    f = std::nextafterf(f, -std::numeric_limits<float>::infinity());
-  }
-  return f;
+/// Highest lattice step; a cell's rectangle spans [0, kMaxStep].
+constexpr double kMaxStep = 65535.0;
+
+// Lattice step of domain coordinate `v` on an axis starting at `origin`
+// with `scale` steps per unit, clamped to the lattice. Subtraction,
+// multiplication by a positive constant, floor/ceil, and clamping are all
+// monotone, so FloorStep(a) <= CeilStep(b) whenever a <= b.
+uint16_t FloorStep(double v, double origin, double scale) {
+  return static_cast<uint16_t>(
+      std::clamp(std::floor((v - origin) * scale), 0.0, kMaxStep));
 }
 
-float CeilFloat(double v) {
-  float f = static_cast<float>(v);
-  if (static_cast<double>(f) < v) {
-    f = std::nextafterf(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
+uint16_t CeilStep(double v, double origin, double scale) {
+  return static_cast<uint16_t>(
+      std::clamp(std::ceil((v - origin) * scale), 0.0, kMaxStep));
 }
 
 /// Bounded seqlock retries before a reader gives up and skips pruning.
@@ -34,13 +32,25 @@ constexpr int kSeqlockRetries = 3;
 
 }  // namespace
 
-IsPresentMemo::IsPresentMemo(uint32_t spatial_cells, uint32_t s_partitions,
-                             uint32_t d_slots)
+IsPresentMemo::IsPresentMemo(const std::vector<Rect>& cell_rects,
+                             uint32_t s_partitions, uint32_t d_slots)
     : sp_(s_partitions), d_slots_(d_slots) {
-  n_stats_ = static_cast<size_t>(spatial_cells) * 2 * sp_ * d_slots_;
+  lattices_.reserve(cell_rects.size());
+  for (const Rect& r : cell_rects) {
+    const double w = r.hi.x - r.lo.x, h = r.hi.y - r.lo.y;
+    lattices_.push_back(Lattice{r.lo.x, r.lo.y, w > 0 ? kMaxStep / w : 0.0,
+                                h > 0 ? kMaxStep / h : 0.0});
+  }
+  n_stats_ = cell_rects.size() * 2 * sp_ * d_slots_;
   stats_ = std::make_unique<AtomicCellStat[]>(n_stats_);
-  meta_ = std::make_unique<ColMeta[]>(static_cast<size_t>(spatial_cells) * 2 *
-                                      sp_);
+  meta_ = std::make_unique<ColMeta[]>(cell_rects.size() * 2 * sp_);
+}
+
+IsPresentMemo::QRect IsPresentMemo::Quantize(uint32_t cell,
+                                             const Rect& r) const {
+  const Lattice& l = lattices_[cell];
+  return QRect{FloorStep(r.lo.x, l.x0, l.sx), FloorStep(r.lo.y, l.y0, l.sy),
+               CeilStep(r.hi.x, l.x0, l.sx), CeilStep(r.hi.y, l.y0, l.sy)};
 }
 
 // Standard seqlock write protocol: flip the sequence odd, fence, mutate,
@@ -61,29 +71,7 @@ void IsPresentMemo::EndWrite(ColMeta& m, uint64_t ver) {
 
 void IsPresentMemo::Add(uint32_t cell, int slot, uint32_t column, uint32_t dp,
                         const Point& p, uint64_t ver) {
-  AtomicCellStat& s = stats_[Index(cell, slot, column, dp)];
-  ColMeta& m = meta_[ColIndex(cell, slot, column)];
-  const float xlo = FloorFloat(p.x), xhi = CeilFloat(p.x);
-  const float ylo = FloorFloat(p.y), yhi = CeilFloat(p.y);
-  BeginWrite(m);
-  const uint32_t count = s.count.load(std::memory_order_relaxed);
-  if (count == 0) {
-    s.min_x.store(xlo, std::memory_order_relaxed);
-    s.max_x.store(xhi, std::memory_order_relaxed);
-    s.min_y.store(ylo, std::memory_order_relaxed);
-    s.max_y.store(yhi, std::memory_order_relaxed);
-  } else {
-    s.min_x.store(std::min(s.min_x.load(std::memory_order_relaxed), xlo),
-                  std::memory_order_relaxed);
-    s.max_x.store(std::max(s.max_x.load(std::memory_order_relaxed), xhi),
-                  std::memory_order_relaxed);
-    s.min_y.store(std::min(s.min_y.load(std::memory_order_relaxed), ylo),
-                  std::memory_order_relaxed);
-    s.max_y.store(std::max(s.max_y.load(std::memory_order_relaxed), yhi),
-                  std::memory_order_relaxed);
-  }
-  s.count.store(count + 1, std::memory_order_relaxed);
-  EndWrite(m, ver);
+  AddN(cell, slot, column, dp, &p, 1, ver);
 }
 
 void IsPresentMemo::AddN(uint32_t cell, int slot, uint32_t column, uint32_t dp,
@@ -91,32 +79,26 @@ void IsPresentMemo::AddN(uint32_t cell, int slot, uint32_t column, uint32_t dp,
   if (n == 0) return;
   AtomicCellStat& s = stats_[Index(cell, slot, column, dp)];
   ColMeta& m = meta_[ColIndex(cell, slot, column)];
+  QRect mbr = Quantize(cell, Rect{pts[0], pts[0]});
+  for (size_t i = 1; i < n; ++i) {
+    const QRect q = Quantize(cell, Rect{pts[i], pts[i]});
+    mbr.lo_x = std::min(mbr.lo_x, q.lo_x);
+    mbr.lo_y = std::min(mbr.lo_y, q.lo_y);
+    mbr.hi_x = std::max(mbr.hi_x, q.hi_x);
+    mbr.hi_y = std::max(mbr.hi_y, q.hi_y);
+  }
   BeginWrite(m);
   const uint32_t count = s.count.load(std::memory_order_relaxed);
-  float min_x, max_x, min_y, max_y;
-  size_t i = 0;
-  if (count == 0) {
-    min_x = FloorFloat(pts[0].x);
-    max_x = CeilFloat(pts[0].x);
-    min_y = FloorFloat(pts[0].y);
-    max_y = CeilFloat(pts[0].y);
-    i = 1;
-  } else {
-    min_x = s.min_x.load(std::memory_order_relaxed);
-    max_x = s.max_x.load(std::memory_order_relaxed);
-    min_y = s.min_y.load(std::memory_order_relaxed);
-    max_y = s.max_y.load(std::memory_order_relaxed);
+  if (count != 0) {
+    mbr.lo_x = std::min(mbr.lo_x, s.min_x.load(std::memory_order_relaxed));
+    mbr.lo_y = std::min(mbr.lo_y, s.min_y.load(std::memory_order_relaxed));
+    mbr.hi_x = std::max(mbr.hi_x, s.max_x.load(std::memory_order_relaxed));
+    mbr.hi_y = std::max(mbr.hi_y, s.max_y.load(std::memory_order_relaxed));
   }
-  for (; i < n; ++i) {
-    min_x = std::min(min_x, FloorFloat(pts[i].x));
-    max_x = std::max(max_x, CeilFloat(pts[i].x));
-    min_y = std::min(min_y, FloorFloat(pts[i].y));
-    max_y = std::max(max_y, CeilFloat(pts[i].y));
-  }
-  s.min_x.store(min_x, std::memory_order_relaxed);
-  s.max_x.store(max_x, std::memory_order_relaxed);
-  s.min_y.store(min_y, std::memory_order_relaxed);
-  s.max_y.store(max_y, std::memory_order_relaxed);
+  s.min_x.store(mbr.lo_x, std::memory_order_relaxed);
+  s.min_y.store(mbr.lo_y, std::memory_order_relaxed);
+  s.max_x.store(mbr.hi_x, std::memory_order_relaxed);
+  s.max_y.store(mbr.hi_y, std::memory_order_relaxed);
   s.count.store(count + static_cast<uint32_t>(n), std::memory_order_relaxed);
   EndWrite(m, ver);
 }
@@ -168,6 +150,14 @@ IsPresentMemo::CellStat IsPresentMemo::At(uint32_t cell, int slot,
   return out;
 }
 
+bool IsPresentMemo::MayContain(uint32_t cell, int slot, uint32_t column,
+                               uint32_t dp, const Rect& area) const {
+  const CellStat s = At(cell, slot, column, dp);
+  const QRect q = Quantize(cell, area);
+  return s.count > 0 && s.min_x <= q.hi_x && q.lo_x <= s.max_x &&
+         s.min_y <= q.hi_y && q.lo_y <= s.max_y;
+}
+
 bool IsPresentMemo::ReadColumn(uint32_t cell, int slot, uint32_t column,
                                uint64_t snapshot_version,
                                CellStat* out) const {
@@ -198,14 +188,15 @@ bool IsPresentMemo::TrimColumn(uint32_t cell, int slot, uint32_t column,
                                uint32_t* n_start, uint32_t* n_end) const {
   const ColMeta& m = meta_[ColIndex(cell, slot, column)];
   const AtomicCellStat* col = &stats_[Index(cell, slot, column, 0)];
+  const QRect q = Quantize(cell, overlap);
   // Individual loads are relaxed; the seqlock validation below makes the
   // whole trim consistent, exactly as it does for a ReadColumn copy.
   auto intersects = [&](uint32_t dp) {
     if (col[dp].count.load(std::memory_order_relaxed) == 0) return false;
-    return col[dp].min_x.load(std::memory_order_relaxed) <= overlap.hi.x &&
-           overlap.lo.x <= col[dp].max_x.load(std::memory_order_relaxed) &&
-           col[dp].min_y.load(std::memory_order_relaxed) <= overlap.hi.y &&
-           overlap.lo.y <= col[dp].max_y.load(std::memory_order_relaxed);
+    return col[dp].min_x.load(std::memory_order_relaxed) <= q.hi_x &&
+           q.lo_x <= col[dp].max_x.load(std::memory_order_relaxed) &&
+           col[dp].min_y.load(std::memory_order_relaxed) <= q.hi_y &&
+           q.lo_y <= col[dp].max_y.load(std::memory_order_relaxed);
   };
   for (int retry = 0; retry < kSeqlockRetries; ++retry) {
     const uint32_t s1 = m.seq.load(std::memory_order_acquire);

@@ -28,6 +28,18 @@ namespace swst {
 /// cell empties or when a whole tree slot is dropped with the expired
 /// window.
 ///
+/// ## Quantized MBRs
+///
+/// Each temporal cell costs 12 bytes: the count plus four 16-bit MBR
+/// coordinates on a 65536-step lattice spanning its spatial cell's
+/// rectangle (given at construction). Stored minimums are floored and
+/// maximums ceiled onto the lattice; query rectangles are quantized
+/// outward the same way and compared as integers. Both mappings are
+/// monotone and `floor <= ceil` pointwise, so a point inside a query
+/// rectangle can never be pruned — pruning stays conservative by
+/// construction, whatever the floating-point rounding. Coordinates outside
+/// the cell clamp to the lattice edges, which keeps that property.
+///
 /// ## Concurrency
 ///
 /// The memo is shared between one writer (serialized by the owning
@@ -46,33 +58,30 @@ namespace swst {
 /// as "never modified").
 class IsPresentMemo {
  public:
-  /// Per-temporal-cell statistics. Coordinates are stored as floats (the
-  /// paper budgets 16 bytes per MBR).
+  /// Per-temporal-cell statistics (12 bytes; the paper budgets 16 for the
+  /// MBR alone). Coordinates are lattice steps within the spatial cell's
+  /// rectangle, not domain coordinates (see "Quantized MBRs").
   struct CellStat {
     uint32_t count = 0;
-    float min_x = 0, min_y = 0, max_x = 0, max_y = 0;
+    uint16_t min_x = 0, min_y = 0, max_x = 0, max_y = 0;
 
     friend bool operator==(const CellStat&, const CellStat&) = default;
 
     bool empty() const { return count == 0; }
-
-    bool Intersects(const Rect& r) const {
-      return count > 0 && min_x <= r.hi.x && r.lo.x <= max_x &&
-             min_y <= r.hi.y && r.lo.y <= max_y;
-    }
   };
 
-  /// `spatial_cells` grid cells, each with 2 slots of
+  /// One memo cell per entry of `cell_rects` (the spatial cells' domain
+  /// rectangles, which anchor the MBR lattices), each with 2 slots of
   /// `s_partitions * d_slots` temporal cells.
-  IsPresentMemo(uint32_t spatial_cells, uint32_t s_partitions,
+  IsPresentMemo(const std::vector<Rect>& cell_rects, uint32_t s_partitions,
                 uint32_t d_slots);
 
   IsPresentMemo(const IsPresentMemo&) = delete;
   IsPresentMemo& operator=(const IsPresentMemo&) = delete;
 
-  /// Records an entry at absolute position `p` (memo MBRs are in domain
-  /// coordinates, matching query rectangles). `ver` is the shard mutation
-  /// version this write belongs to (see class comment).
+  /// Records an entry at absolute (domain) position `p`, quantized against
+  /// the cell's rectangle. `ver` is the shard mutation version this write
+  /// belongs to (see class comment).
   void Add(uint32_t cell, int slot, uint32_t column, uint32_t dp,
            const Point& p, uint64_t ver = 0);
 
@@ -95,12 +104,10 @@ class IsPresentMemo {
   /// the shard lock). Lock-free readers use `ReadColumn`.
   CellStat At(uint32_t cell, int slot, uint32_t column, uint32_t dp) const;
 
-  /// True iff the temporal cell has entries whose MBR intersects `area`.
-  /// Same caveat as `At`.
+  /// True iff the temporal cell has entries whose MBR intersects `area`
+  /// (domain coordinates, quantized outward). Same caveat as `At`.
   bool MayContain(uint32_t cell, int slot, uint32_t column, uint32_t dp,
-                  const Rect& area) const {
-    return At(cell, slot, column, dp).Intersects(area);
-  }
+                  const Rect& area) const;
 
   /// Wait-free reader path: copies the `d_slots()` stats of one column
   /// into `out` and returns true iff the copy is internally consistent
@@ -149,12 +156,27 @@ class IsPresentMemo {
 
  private:
   /// One temporal cell's statistics, field-for-field the atomic mirror of
-  /// `CellStat` (same 20-byte layout, so `MemoryUsage` stays honest).
+  /// `CellStat` (same 12-byte layout, so `MemoryUsage` stays honest).
   struct AtomicCellStat {
     std::atomic<uint32_t> count{0};
-    std::atomic<float> min_x{0}, min_y{0}, max_x{0}, max_y{0};
+    std::atomic<uint16_t> min_x{0}, min_y{0}, max_x{0}, max_y{0};
   };
   static_assert(sizeof(AtomicCellStat) == sizeof(CellStat));
+  static_assert(sizeof(CellStat) == 12);
+
+  /// Maps one spatial cell's domain coordinates onto its MBR lattice.
+  struct Lattice {
+    double x0, y0;  ///< Cell rectangle's low corner.
+    double sx, sy;  ///< Lattice steps per domain unit.
+  };
+
+  /// A rectangle on one cell's lattice: `lo` floored, `hi` ceiled.
+  struct QRect {
+    uint16_t lo_x, lo_y, hi_x, hi_y;
+  };
+  /// Quantizes `r` (domain coordinates; a point when lo == hi) outward
+  /// onto `cell`'s lattice.
+  QRect Quantize(uint32_t cell, const Rect& r) const;
 
   /// Seqlock + last-writer version of one (cell, slot, column) column.
   struct ColMeta {
@@ -174,6 +196,7 @@ class IsPresentMemo {
   void BeginWrite(ColMeta& m);
   void EndWrite(ColMeta& m, uint64_t ver);
 
+  std::vector<Lattice> lattices_;  ///< One per spatial cell.
   uint32_t sp_;
   uint32_t d_slots_;
   size_t n_stats_;

@@ -42,7 +42,11 @@ SwstIndex::SwstIndex(BufferPool* pool, const SwstOptions& options)
   const uint32_t ds = options.d_partition_slots();
   for (uint32_t begin = 0; begin < total; begin += cells_per_shard_) {
     const uint32_t count = std::min(cells_per_shard_, total - begin);
-    shards_.push_back(std::make_unique<Shard>(begin, count, sp, ds));
+    std::vector<Rect> rects;
+    for (uint32_t c = begin; c < begin + count; ++c) {
+      rects.push_back(grid_.CellRect(c));
+    }
+    shards_.push_back(std::make_unique<Shard>(begin, rects, sp, ds));
     // Initial (empty) snapshot so the lock-free read path never sees a
     // null pointer, even on an index that was never written to.
     shards_.back()->snap.store(
@@ -377,27 +381,29 @@ Status SwstIndex::Advance(Timestamp t) {
 }
 
 Status SwstIndex::Insert(const Entry& entry) {
+  SWST_RETURN_IF_ERROR(InsertUnsynced(entry));
+  return SyncWal();
+}
+
+Status SwstIndex::InsertUnsynced(const Entry& entry) {
   if (!grid_.Contains(entry.pos)) {
     return Status::InvalidArgument("Insert: position outside spatial domain");
   }
   const uint32_t cell = grid_.CellOf(entry.pos);
   Shard& shard = ShardFor(cell);
   std::shared_lock<std::shared_mutex> ckpt(checkpoint_mu_);
-  {
-    auto lock = LockShard(shard);
-    if (wal_ != nullptr && !replaying_) {
-      // Log-before-data, but only for entries that will be accepted — a
-      // rejected insert must leave no record (the pre-validation mirrors
-      // InsertLocked's decision exactly).
-      SWST_RETURN_IF_ERROR(ValidateInsert(entry));
-      SWST_RETURN_IF_ERROR(
-          LogOp(WalRecordType::kInsert, &entry, sizeof(Entry)));
-    }
-    std::vector<PageId> retired;
-    SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, entry, &retired));
-    PublishShard(shard, std::move(retired));
+  auto lock = LockShard(shard);
+  if (wal_ != nullptr && !replaying_) {
+    // Log-before-data, but only for entries that will be accepted — a
+    // rejected insert must leave no record (the pre-validation mirrors
+    // InsertLocked's decision exactly).
+    SWST_RETURN_IF_ERROR(ValidateInsert(entry));
+    SWST_RETURN_IF_ERROR(LogOp(WalRecordType::kInsert, &entry, sizeof(Entry)));
   }
-  return SyncWal();
+  std::vector<PageId> retired;
+  SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, entry, &retired));
+  PublishShard(shard, std::move(retired));
+  return Status::OK();
 }
 
 Status SwstIndex::InsertLocked(Shard& shard, uint32_t cell,
@@ -647,6 +653,12 @@ Status SwstIndex::DeleteLocked(Shard& shard, uint32_t cell,
 }
 
 Status SwstIndex::CloseCurrent(const Entry& current, Duration actual) {
+  SWST_RETURN_IF_ERROR(CloseCurrentUnsynced(current, actual));
+  return SyncWal();
+}
+
+Status SwstIndex::CloseCurrentUnsynced(const Entry& current,
+                                       Duration actual) {
   if (!current.is_current()) {
     return Status::InvalidArgument("CloseCurrent: entry is already closed");
   }
@@ -661,74 +673,76 @@ Status SwstIndex::CloseCurrent(const Entry& current, Duration actual) {
   const uint64_t epoch = codec_.Epoch(current.start);
   Shard& shard = ShardFor(cell);
   std::shared_lock<std::shared_mutex> ckpt(checkpoint_mu_);
-  {
-    // Seal-time migration: live-tier removal + closed B+ insert under one
-    // critical section and ONE publish, so a query sees either the
-    // still-open entry (via the live buckets of an older snapshot) or the
-    // closed one (via the trees and raised watermark of the new snapshot)
-    // — never both and never neither (no torn view).
-    auto lock = LockShard(shard);
-    const uint32_t local_cell = cell - shard.cell_begin;
-    if (!shard.live.Contains(local_cell, current.oid, current.start)) {
-      const uint64_t k = now() / options_.epoch_length();
-      const uint64_t min_live = (k == 0) ? 0 : k - 1;
-      if (epoch < min_live) {
-        // The entry expired with its window; nothing to close (and
-        // nothing to log — redo reconstructs the same no-op from state).
-        return Status::OK();
-      }
-      return Status::NotFound("CloseCurrent: entry not in the live tier");
+  // Seal-time migration: live-tier removal + closed B+ insert under one
+  // critical section and ONE publish, so a query sees either the
+  // still-open entry (via the live buckets of an older snapshot) or the
+  // closed one (via the trees and raised watermark of the new snapshot)
+  // — never both and never neither (no torn view).
+  auto lock = LockShard(shard);
+  const uint32_t local_cell = cell - shard.cell_begin;
+  if (!shard.live.Contains(local_cell, current.oid, current.start)) {
+    const uint64_t k = now() / options_.epoch_length();
+    const uint64_t min_live = (k == 0) ? 0 : k - 1;
+    if (epoch < min_live) {
+      // The entry expired with its window; nothing to close (and
+      // nothing to log — redo reconstructs the same no-op from state).
+      return Status::OK();
     }
-    Entry closed = current;
-    closed.duration = actual;
-    // Validate the closed entry *before* logging or mutating: a rejected
-    // close (e.g. the re-insert would fall outside the window) leaves no
-    // WAL record and no state change at all.
-    SWST_RETURN_IF_ERROR(ValidateInsert(closed));
-    if (wal_ != nullptr && !replaying_) {
-      const WalClosePayload payload{current, actual};
-      SWST_RETURN_IF_ERROR(
-          LogOp(WalRecordType::kClose, &payload, sizeof(payload)));
-    }
-    std::vector<PageId> retired;
-    // Tree insert first: if it fails (I/O), the live tier is untouched
-    // and nothing publishes — the entry simply stays current.
-    SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, closed, &retired));
-    shard.live.Remove(local_cell, current.oid, current.start);
-    live_entries_.fetch_sub(1, std::memory_order_relaxed);
-    if (m_deletes_ != nullptr) m_deletes_->Increment();
-    if (m_live_migrations_ != nullptr) m_live_migrations_->Increment();
-    obs::RecordEvent(obs::EventType::kCloseMigrate, current.oid,
-                     static_cast<uint64_t>(current.start), cell,
-                     static_cast<uint64_t>(actual));
-    PublishShard(shard, std::move(retired));
+    return Status::NotFound("CloseCurrent: entry not in the live tier");
   }
-  return SyncWal();
+  Entry closed = current;
+  closed.duration = actual;
+  // Validate the closed entry *before* logging or mutating: a rejected
+  // close (e.g. the re-insert would fall outside the window) leaves no
+  // WAL record and no state change at all.
+  SWST_RETURN_IF_ERROR(ValidateInsert(closed));
+  if (wal_ != nullptr && !replaying_) {
+    const WalClosePayload payload{current, actual};
+    SWST_RETURN_IF_ERROR(
+        LogOp(WalRecordType::kClose, &payload, sizeof(payload)));
+  }
+  std::vector<PageId> retired;
+  // Tree insert first: if it fails (I/O), the live tier is untouched
+  // and nothing publishes — the entry simply stays current.
+  SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, closed, &retired));
+  shard.live.Remove(local_cell, current.oid, current.start);
+  live_entries_.fetch_sub(1, std::memory_order_relaxed);
+  if (m_deletes_ != nullptr) m_deletes_->Increment();
+  if (m_live_migrations_ != nullptr) m_live_migrations_->Increment();
+  obs::RecordEvent(obs::EventType::kCloseMigrate, current.oid,
+                   static_cast<uint64_t>(current.start), cell,
+                   static_cast<uint64_t>(actual));
+  PublishShard(shard, std::move(retired));
+  return Status::OK();
 }
 
 Status SwstIndex::ReportPosition(ObjectId oid, const Point& pos, Timestamp t,
                                  const Entry* previous, Entry* out_current) {
-  if (previous != nullptr) {
-    if (t <= previous->start) {
-      return Status::InvalidArgument(
-          "ReportPosition: timestamps must be increasing per object");
-    }
-    Duration d = t - previous->start;
-    if (d > options_.max_duration) {
-      // The object stayed longer than Dmax at its previous position. SWST
-      // never splits long entries (paper §V-A); the previous entry simply
-      // stays current until it expires with its window.
-    } else {
-      Status st = CloseCurrent(*previous, d);
-      if (!st.ok() && !st.IsNotFound()) return st;
-    }
+  if (previous != nullptr && t <= previous->start) {
+    return Status::InvalidArgument(
+        "ReportPosition: timestamps must be increasing per object");
   }
-  Entry cur;
-  cur.oid = oid;
-  cur.pos = pos;
-  cur.start = t;
-  cur.duration = kUnknownDuration;
-  SWST_RETURN_IF_ERROR(Insert(cur));
+  // One commit point per report: the close and the insert are logged by
+  // their unsynced bodies and one sync covers both — the group commit
+  // InsertBatch uses. A crash can leave the close durable without the
+  // insert; the report was never acked, and retrying it is safe because a
+  // close that finds nothing open (NotFound) is tolerated here.
+  Status st;
+  if (previous != nullptr && t - previous->start <= options_.max_duration) {
+    st = CloseCurrentUnsynced(*previous, t - previous->start);
+    if (st.IsNotFound()) st = Status::OK();
+  }
+  // (A stay longer than Dmax is never closed: SWST does not split long
+  // entries, paper §V-A; the previous entry stays current until it
+  // expires with its window.)
+  const Entry cur{oid, pos, t, kUnknownDuration};
+  if (st.ok()) st = InsertUnsynced(cur);
+  // Sync on every path, errors included, so a close whose insert then
+  // failed is as durable as it was when both calls synced on their own.
+  // With nothing appended this is a no-op.
+  const Status synced = SyncWal();
+  SWST_RETURN_IF_ERROR(st);
+  SWST_RETURN_IF_ERROR(synced);
   if (out_current != nullptr) *out_current = cur;
   return Status::OK();
 }
@@ -1649,25 +1663,42 @@ Status SwstIndex::ReplayWal(RecoverStats* stats) {
   const Lsn from = applied_lsn_.load(std::memory_order_acquire) + 1;
   uint64_t replayed = 0;
   uint64_t skipped = 0;
-  replaying_ = true;
+  // Collect the verified records first and redo them after the scan:
+  // `Wal::Replay` holds the log's mutex while it delivers records, and
+  // redo takes `checkpoint_mu_` and shard locks, which every logged
+  // operation takes *before* the log's mutex.
+  struct Logged {
+    Lsn lsn;
+    WalRecordType type;
+    size_t offset;
+    uint32_t len;
+  };
+  std::vector<Logged> records;
+  std::vector<char> payloads;
   auto result = wal_->Replay(
       from, [&](Lsn lsn, WalRecordType type, const char* payload,
                 uint32_t len) -> Status {
-        Status st = ApplyLogged(type, payload, len);
-        if (st.ok()) {
-          ++replayed;
-        } else if (st.IsInvalidArgument() || st.IsNotFound()) {
-          // The operation's own original outcome (e.g. a logged Delete
-          // that found nothing): a no-op then, a no-op now.
-          ++skipped;
-        } else {
-          return st;  // I/O or corruption: abort recovery.
-        }
-        applied_lsn_.store(lsn, std::memory_order_release);
+        records.push_back(Logged{lsn, type, payloads.size(), len});
+        payloads.insert(payloads.end(), payload, payload + len);
         return Status::OK();
       });
-  replaying_ = false;
   if (!result.ok()) return result.status();
+  replaying_ = true;
+  for (const Logged& r : records) {
+    Status st = ApplyLogged(r.type, payloads.data() + r.offset, r.len);
+    if (st.ok()) {
+      ++replayed;
+    } else if (st.IsInvalidArgument() || st.IsNotFound()) {
+      // The operation's own original outcome (e.g. a logged Delete
+      // that found nothing): a no-op then, a no-op now.
+      ++skipped;
+    } else {
+      replaying_ = false;
+      return st;  // I/O or corruption: abort recovery.
+    }
+    applied_lsn_.store(r.lsn, std::memory_order_release);
+  }
+  replaying_ = false;
   obs::RecordEvent(obs::EventType::kRecoverReplay, replayed, skipped,
                    result->last_lsn, result->torn_tail ? 1 : 0);
   if (stats != nullptr) {

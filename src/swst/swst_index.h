@@ -294,6 +294,9 @@ class SwstIndex {
   /// on. If `previous` is non-null it must be the object's still-open
   /// previous entry; it is closed with duration `t - previous->start`.
   /// Returns the new current entry through `out_current` if non-null.
+  /// With a WAL attached, the close and the insert are one group commit
+  /// (one sync); on failure the same report may simply be retried (see
+  /// docs/durability.md).
   Status ReportPosition(ObjectId oid, const Point& pos, Timestamp t,
                         const Entry* previous, Entry* out_current = nullptr);
 
@@ -442,12 +445,13 @@ class SwstIndex {
   /// instead. Shards never share mutable state, so operations on
   /// different shards proceed fully in parallel.
   struct Shard {
-    Shard(uint32_t begin, uint32_t count, uint32_t s_partitions,
-          uint32_t d_slots)
+    /// Covers the cells whose rectangles are `cell_rects`, from `begin` on.
+    Shard(uint32_t begin, const std::vector<Rect>& cell_rects,
+          uint32_t s_partitions, uint32_t d_slots)
         : cell_begin(begin),
-          cells(count),
-          memo(count, s_partitions, d_slots),
-          live(count) {}
+          cells(cell_rects.size()),
+          memo(cell_rects, s_partitions, d_slots),
+          live(static_cast<uint32_t>(cell_rects.size())) {}
 
     mutable std::shared_mutex mu;
     uint32_t cell_begin;            ///< First global cell index covered.
@@ -513,6 +517,12 @@ class SwstIndex {
   /// Makes everything logged so far durable (the per-operation / per-batch
   /// commit point). Called after the shard locks are released.
   Status SyncWal();
+
+  /// Unsynced bodies of `Insert` and `CloseCurrent`: validate, log, apply,
+  /// publish — everything but the commit point. Each public call is its
+  /// body plus `SyncWal()`; `ReportPosition` runs both bodies under one.
+  Status InsertUnsynced(const Entry& entry);
+  Status CloseCurrentUnsynced(const Entry& current, Duration actual);
 
   /// The pre-apply validation `Insert` needs before it may log: the exact
   /// accept/reject decision `InsertLocked` will make, computed without

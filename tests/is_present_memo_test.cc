@@ -1,14 +1,30 @@
 #include "swst/is_present_memo.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "swst/spatial_grid.h"
+
 namespace swst {
 namespace {
 
+/// `n` spatial cells, each spanning [0, 1000]^2 (the lattice anchor).
+std::vector<Rect> Cells(uint32_t n) {
+  return std::vector<Rect>(n, Rect{{0, 0}, {1000, 1000}});
+}
+
+/// Every cell rectangle of `grid`, in cell order (what SwstIndex passes).
+std::vector<Rect> GridCells(const SpatialGrid& grid, uint32_t n) {
+  std::vector<Rect> rects;
+  for (uint32_t c = 0; c < n; ++c) rects.push_back(grid.CellRect(c));
+  return rects;
+}
+
 TEST(IsPresentMemoTest, StartsEmpty) {
-  IsPresentMemo memo(4, 10, 5);
+  IsPresentMemo memo(Cells(4), 10, 5);
   for (uint32_t c = 0; c < 4; ++c) {
     for (int slot = 0; slot < 2; ++slot) {
       for (uint32_t col = 0; col < 10; ++col) {
@@ -23,7 +39,7 @@ TEST(IsPresentMemoTest, StartsEmpty) {
 }
 
 TEST(IsPresentMemoTest, AddTracksCountAndMbr) {
-  IsPresentMemo memo(1, 4, 4);
+  IsPresentMemo memo(Cells(1), 4, 4);
   memo.Add(0, 0, 1, 2, {10, 20});
   memo.Add(0, 0, 1, 2, {30, 5});
   const auto& s = memo.At(0, 0, 1, 2);
@@ -37,7 +53,7 @@ TEST(IsPresentMemoTest, AddTracksCountAndMbr) {
 }
 
 TEST(IsPresentMemoTest, MbrIntersectionIsInclusive) {
-  IsPresentMemo memo(1, 2, 2);
+  IsPresentMemo memo(Cells(1), 2, 2);
   memo.Add(0, 0, 0, 0, {50, 50});
   EXPECT_TRUE(memo.MayContain(0, 0, 0, 0, Rect{{50, 50}, {60, 60}}));
   EXPECT_TRUE(memo.MayContain(0, 0, 0, 0, Rect{{40, 40}, {50, 50}}));
@@ -45,7 +61,7 @@ TEST(IsPresentMemoTest, MbrIntersectionIsInclusive) {
 }
 
 TEST(IsPresentMemoTest, RemoveResetsWhenCellEmpties) {
-  IsPresentMemo memo(1, 2, 2);
+  IsPresentMemo memo(Cells(1), 2, 2);
   memo.Add(0, 1, 1, 1, {10, 10});
   memo.Add(0, 1, 1, 1, {90, 90});
   memo.Remove(0, 1, 1, 1);
@@ -61,7 +77,7 @@ TEST(IsPresentMemoTest, RemoveResetsWhenCellEmpties) {
 }
 
 TEST(IsPresentMemoTest, ResetSlotClearsOnlyThatSlot) {
-  IsPresentMemo memo(2, 3, 3);
+  IsPresentMemo memo(Cells(2), 3, 3);
   memo.Add(0, 0, 1, 1, {1, 1});
   memo.Add(0, 1, 1, 1, {2, 2});
   memo.Add(1, 0, 2, 2, {3, 3});
@@ -72,23 +88,23 @@ TEST(IsPresentMemoTest, ResetSlotClearsOnlyThatSlot) {
 }
 
 TEST(IsPresentMemoTest, FloatRoundingStaysConservative) {
-  IsPresentMemo memo(1, 1, 1);
-  // A coordinate that is not exactly representable as float: the stored
-  // MBR must still contain it.
+  IsPresentMemo memo(std::vector<Rect>{Rect{{0, 0}, {20000, 20000}}}, 1, 1);
+  // A coordinate that falls between lattice steps: the stored MBR must
+  // still contain it, even for a zero-extent query at the point itself.
   const double x = 10000.0000001;
   memo.Add(0, 0, 0, 0, {x, x});
   EXPECT_TRUE(memo.MayContain(0, 0, 0, 0, Rect{{x, x}, {x, x}}));
 }
 
 TEST(IsPresentMemoTest, MemoryUsageMatchesGeometry) {
-  IsPresentMemo memo(400, 201, 21);
-  // 400 cells * 2 slots * 201 columns * 21 d-slots * sizeof(CellStat).
-  EXPECT_EQ(memo.MemoryUsage(),
-            400ull * 2 * 201 * 21 * sizeof(IsPresentMemo::CellStat));
+  IsPresentMemo memo(Cells(400), 201, 21);
+  // 400 cells * 2 slots * 201 columns * 21 d-slots * 12-byte stats.
+  EXPECT_EQ(sizeof(IsPresentMemo::CellStat), 12u);
+  EXPECT_EQ(memo.MemoryUsage(), 400ull * 2 * 201 * 21 * 12);
 }
 
 TEST(IsPresentMemoTest, ReadColumnCopiesAndGatesOnVersion) {
-  IsPresentMemo memo(1, 4, 5);
+  IsPresentMemo memo(Cells(1), 4, 5);
   memo.Add(0, 0, 1, 2, {10, 20}, /*ver=*/3);
   memo.Add(0, 0, 1, 4, {30, 40}, /*ver=*/5);
 
@@ -108,7 +124,7 @@ TEST(IsPresentMemoTest, ReadColumnCopiesAndGatesOnVersion) {
 }
 
 TEST(IsPresentMemoTest, TrimColumnMatchesManualTrim) {
-  IsPresentMemo memo(1, 4, 6);
+  IsPresentMemo memo(Cells(1), 4, 6);
   // Column 1: entries at dp 2 and dp 4; dp 4 lies outside the probe rect.
   memo.Add(0, 0, 1, 2, {10, 20}, /*ver=*/1);
   memo.Add(0, 0, 1, 4, {500, 500}, /*ver=*/2);
@@ -144,6 +160,82 @@ TEST(IsPresentMemoTest, TrimColumnMatchesManualTrim) {
   ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2, probe,
                               &lo, &hi));
   EXPECT_GT(lo, hi);
+}
+
+// Quantization property: whenever a recorded point lies inside a query
+// rectangle, neither MayContain (the rectangle as given) nor TrimColumn
+// (the rectangle clipped to the cell, as SearchCell passes it) may prune
+// its temporal cell. Points are drawn uniformly, snapped onto cell edges,
+// and pinned to the domain's high edge; grids have awkward extents so cell
+// rectangles are not exactly representable.
+TEST(IsPresentMemoTest, QuantizedPruningNeverDropsAContainedPoint) {
+  Random rng(20240611);
+  const struct {
+    Rect space;
+    uint32_t nx, ny;
+  } grids[] = {
+      {Rect{{0, 0}, {10000, 10000}}, 20, 20},
+      {Rect{{-123.4, 987.65}, {4321.1, 1000.05}}, 7, 3},
+      {Rect{{0.1, 0.1}, {0.7, 0.3}}, 3, 9},
+  };
+  constexpr uint32_t kDSlots = 4;
+  for (const auto& g : grids) {
+    const SpatialGrid grid(g.space, g.nx, g.ny);
+    const uint32_t n_cells = g.nx * g.ny;
+    for (int round = 0; round < 40; ++round) {
+      IsPresentMemo memo(GridCells(grid, n_cells), 1, kDSlots);
+      std::vector<std::vector<Point>> added(n_cells * kDSlots);
+      auto pick = [&]() -> Point {
+        Point p{rng.UniformDouble(g.space.lo.x, g.space.hi.x),
+                rng.UniformDouble(g.space.lo.y, g.space.hi.y)};
+        const Rect cr = grid.CellRect(grid.CellOf(p));
+        switch (rng.Uniform(6)) {
+          case 0: p.x = cr.lo.x; break;
+          case 1: p.x = cr.hi.x; break;
+          case 2: p.y = cr.lo.y; break;
+          case 3: p.y = cr.hi.y; break;
+          case 4: p = g.space.hi; break;
+          default: break;
+        }
+        p.x = std::min(p.x, g.space.hi.x);
+        p.y = std::min(p.y, g.space.hi.y);
+        return p;
+      };
+      for (int i = 0; i < 60; ++i) {
+        const Point p = pick();
+        const uint32_t cell = grid.CellOf(p);
+        const uint32_t dp = static_cast<uint32_t>(rng.Uniform(kDSlots));
+        memo.Add(cell, 0, 0, dp, p, /*ver=*/1);
+        added[cell * kDSlots + dp].push_back(p);
+      }
+      for (uint32_t cell = 0; cell < n_cells; ++cell) {
+        for (uint32_t dp = 0; dp < kDSlots; ++dp) {
+          for (const Point& p : added[cell * kDSlots + dp]) {
+            // A query rectangle around p: degenerate (the point itself) or
+            // stretched by up to two cells in each direction.
+            const double w = grid.cell_width(), h = grid.cell_height();
+            Rect q{p, p};
+            if (rng.Uniform(3) != 0) {
+              q.lo.x -= rng.UniformDouble(0, 2 * w);
+              q.lo.y -= rng.UniformDouble(0, 2 * h);
+              q.hi.x += rng.UniformDouble(0, 2 * w);
+              q.hi.y += rng.UniformDouble(0, 2 * h);
+            }
+            ASSERT_TRUE(memo.MayContain(cell, 0, 0, dp, q))
+                << "pruned (" << p.x << ", " << p.y << ") in cell " << cell;
+            for (const auto& co : grid.Overlapping(q)) {
+              if (co.cell != cell || !co.overlap.Contains(p)) continue;
+              uint32_t lo = dp, hi = dp;
+              ASSERT_TRUE(memo.TrimColumn(cell, 0, 0, /*snapshot_version=*/1,
+                                          co.overlap, &lo, &hi));
+              ASSERT_EQ(lo, dp) << "trimmed away (" << p.x << ", " << p.y
+                                << ") in cell " << cell;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

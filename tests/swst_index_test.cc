@@ -347,9 +347,13 @@ TEST_F(SwstIndexTest, StatisticsMemoryBounded) {
   SwstOptions o;  // Paper defaults: 400 cells, Sp=201, 21 d-slots.
   auto idx = Make(o);
   // The paper reports ~25 MB of statistical state at these settings; our
-  // per-cell stat is 20 bytes, so the budget is ~70 MB. The key check:
-  // it does not grow with data size.
+  // per-temporal-cell stat is 12 bytes, so the memo is 3,376,800 x 12 B
+  // (40.5 MB) plus a small tree directory. The key check: it does not
+  // grow with data size.
   const size_t before = idx->StatisticsMemoryUsage();
+  const size_t memo_bytes = 400ull * 2 * 201 * 21 * 12;
+  EXPECT_GE(before, memo_bytes);
+  EXPECT_LT(before, memo_bytes + 400 * 64);
   Random rng(48);
   for (int i = 0; i < 2000; ++i) {
     ASSERT_OK(idx->Insert(MakeEntry(i, rng.UniformDouble(0, 10000),

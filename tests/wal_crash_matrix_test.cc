@@ -1,6 +1,6 @@
-// Crash-matrix harness for WAL recovery (the ISSUE's tentpole acceptance
-// test): a deterministic workload of inserts, batched inserts, deletes,
-// closes, advances, and checkpoints runs over BOTH fault-injection layers
+// Crash-matrix harness for WAL recovery: a deterministic workload of
+// inserts, batched inserts, deletes, closes, position reports, advances,
+// and checkpoints runs over BOTH fault-injection layers
 // (pager + WAL store). The matrix crashes it at every Nth log append and
 // every Nth log sync (plus torn-tail byte sweeps), recovers with
 // `SwstIndex::Recover`, and requires:
@@ -13,7 +13,11 @@
 //   half-applied single operations;
 //
 //   idempotence — crashing again right after recovery (before any new
-//   checkpoint) and recovering a second time yields the identical state.
+//   checkpoint) and recovering a second time yields the identical state;
+//
+//   retry safety — a `ReportPosition` (close + insert under one sync) cut
+//   before its insert became durable reaches the oracle's post-report
+//   state when the client retries the same report after recovery.
 //
 // The mapping from "what survived" to "which oracle" uses the log's dense
 // LSNs: the harness records each op's last LSN while driving the workload,
@@ -32,6 +36,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "obs/metrics.h"
 #include "storage/fault_injection_pager.h"
 #include "storage/fault_injection_wal.h"
 #include "swst/swst_index.h"
@@ -65,13 +70,16 @@ struct Op {
     kBatch,
     kDelete,
     kClose,
+    kReport,
     kAdvance,
     kCheckpoint
   } kind = kInsert;
-  Entry entry;               // kInsert / kDelete / kClose.
+  Entry entry;               // kInsert / kDelete / kClose; kReport: new.
   Duration actual = 0;       // kClose.
   std::vector<Entry> batch;  // kBatch.
   Timestamp t = 0;           // kAdvance.
+  bool has_prev = false;     // kReport: closes `prev` (when within Dmax).
+  Entry prev;
 };
 
 std::vector<Op> MakeWorkload(int steps, uint64_t seed) {
@@ -89,7 +97,7 @@ std::vector<Op> MakeWorkload(int steps, uint64_t seed) {
     clock += 17;
     const int roll = static_cast<int>(rng.Uniform(100));
     Op op;
-    if (roll < 40) {
+    if (roll < 34) {
       op.kind = Op::kInsert;
       if (rng.Uniform(4) == 0) {
         op.entry = mk(clock, kUnknownDuration);
@@ -98,24 +106,41 @@ std::vector<Op> MakeWorkload(int steps, uint64_t seed) {
         op.entry = mk(clock, 1 + rng.Uniform(200));
         closed.push_back(op.entry);
       }
-    } else if (roll < 60) {
+    } else if (roll < 50) {
       op.kind = Op::kBatch;
       const size_t n = 2 + rng.Uniform(6);
       for (size_t j = 0; j < n; ++j) {
         Entry e = mk(clock + j % 3, 1 + rng.Uniform(200));
         op.batch.push_back(e);
       }
-    } else if (roll < 72 && !closed.empty()) {
+    } else if (roll < 60 && !closed.empty()) {
       op.kind = Op::kDelete;
       const size_t pick = rng.Uniform(closed.size());
       op.entry = closed[pick];
       closed.erase(closed.begin() + static_cast<long>(pick));
-    } else if (roll < 84 && !current.empty()) {
+    } else if (roll < 70 && !current.empty()) {
       op.kind = Op::kClose;
       const size_t pick = rng.Uniform(current.size());
       op.entry = current[pick];
       op.actual = 1 + rng.Uniform(200);
       current.erase(current.begin() + static_cast<long>(pick));
+    } else if (roll < 84) {
+      // A position report: usually moves a tracked object (closing its
+      // open entry, or leaving it open when the stay exceeds Dmax),
+      // sometimes introduces a new one.
+      op.kind = Op::kReport;
+      if (!current.empty() && rng.Uniform(4) != 0) {
+        const size_t pick = rng.Uniform(current.size());
+        op.has_prev = true;
+        op.prev = current[pick];
+        current.erase(current.begin() + static_cast<long>(pick));
+        op.entry = MakeEntry(op.prev.oid, rng.UniformDouble(0, 1000),
+                             rng.UniformDouble(0, 1000), clock,
+                             kUnknownDuration);
+      } else {
+        op.entry = mk(clock, kUnknownDuration);
+      }
+      current.push_back(op.entry);
     } else if (roll < 92) {
       op.kind = Op::kAdvance;
       op.t = clock;
@@ -130,7 +155,8 @@ std::vector<Op> MakeWorkload(int steps, uint64_t seed) {
 /// Applies one op. An expired target is a legitimate workload outcome, not
 /// a failure: Delete may hit NotFound, and CloseCurrent may hit NotFound
 /// or reject the re-insert of an entry the window has passed
-/// (InvalidArgument) — both runs (oracle and WAL) take identical paths.
+/// (InvalidArgument; a report whose close is rejected that way inserts
+/// nothing) — both runs (oracle and WAL) take identical paths.
 Status ApplyOp(SwstIndex* idx, const Op& op, PageId* meta) {
   switch (op.kind) {
     case Op::kInsert:
@@ -144,6 +170,12 @@ Status ApplyOp(SwstIndex* idx, const Op& op, PageId* meta) {
     case Op::kClose: {
       Status st = idx->CloseCurrent(op.entry, op.actual);
       return (st.IsNotFound() || st.IsInvalidArgument()) ? Status::OK() : st;
+    }
+    case Op::kReport: {
+      Status st =
+          idx->ReportPosition(op.entry.oid, op.entry.pos, op.entry.start,
+                              op.has_prev ? &op.prev : nullptr);
+      return st.IsInvalidArgument() ? Status::OK() : st;
     }
     case Op::kAdvance:
       return idx->Advance(op.t);
@@ -222,11 +254,11 @@ class WalCrashMatrixTest : public ::testing::Test {
 
   /// Oracle after ops[0..prefix) plus the first `partial` *records* of
   /// ops[prefix]. A partially durable group commit replays as its record
-  /// prefix (serial inserts); for a single-record op `partial` can only be
-  /// 1, meaning the whole op (its record was logged and survived even
-  /// though the original call returned an error — logged-but-not-acked).
-  /// Computed on a plain in-memory stack with no WAL at all: the
-  /// semantics recovery must reproduce.
+  /// prefix: serial inserts for a batch, the close alone for a two-record
+  /// report. Otherwise `partial` covers the whole op (its records were
+  /// logged and survived even though the original call returned an error
+  /// — logged-but-not-acked). Computed on a plain in-memory stack with no
+  /// WAL at all: the semantics recovery must reproduce.
   const Snapshot& Oracle(size_t prefix, size_t partial) {
     const auto key = std::make_pair(prefix, partial);
     auto it = oracles_.find(key);
@@ -245,8 +277,13 @@ class WalCrashMatrixTest : public ::testing::Test {
           for (size_t j = 0; j < partial && j < op.batch.size(); ++j) {
             EXPECT_OK(idx->get()->Insert(op.batch[j]));
           }
+        } else if (op.kind == Op::kReport &&
+                   partial < Reference()[prefix].records) {
+          // The close frame survived, the insert frame did not.
+          EXPECT_OK(idx->get()->CloseCurrent(
+              op.prev, op.entry.start - op.prev.start));
         } else {
-          EXPECT_EQ(partial, 1u);
+          EXPECT_EQ(partial, Reference()[prefix].records);
           EXPECT_OK(ApplyOp(idx->get(), op, &meta));
         }
       }
@@ -257,11 +294,33 @@ class WalCrashMatrixTest : public ::testing::Test {
     return it->second;
   }
 
+  /// What op k did in a run: its log records and the store's lifetime
+  /// append/sync counters when it returned — so its last frame is store
+  /// append #appends_after and its commit ends at store sync #syncs_after.
+  struct OpTrace {
+    size_t records = 0;
+    uint64_t appends_after = 0;
+    uint64_t syncs_after = 0;
+  };
+
   struct RunResult {
     bool fault_hit = false;
     uint64_t wal_appends = 0;
     uint64_t wal_syncs = 0;
+    std::vector<OpTrace> ops;  ///< Ops that ran, in order.
   };
+
+  /// Per-op traces of the fault-free run (cached). A faulted run is
+  /// identical up to the op its fault aborts.
+  const std::vector<OpTrace>& Reference() {
+    if (reference_.empty()) {
+      RunResult r;
+      RunAndCheck({}, "reference", &r);
+      EXPECT_EQ(r.ops.size(), ops_.size());
+      reference_ = std::move(r.ops);
+    }
+    return reference_;
+  }
 
   /// One full cell of the matrix: run the workload over fault-injected
   /// pager + WAL store until `policy` fires (or the workload ends), crash
@@ -322,6 +381,9 @@ class WalCrashMatrixTest : public ::testing::Test {
       for (size_t i = 0; i < ops_.size(); ++i) {
         const Lsn before = (*wal)->last_lsn();
         Status st = ApplyOp(idx->get(), ops_[i], &meta);
+        result->ops.push_back(
+            OpTrace{static_cast<size_t>((*wal)->last_lsn() - before),
+                    wal_store.appends(), wal_store.syncs()});
         if (!st.ok()) {
           // Fail-stop: the injected fault surfaced as a clean error; the
           // in-memory index is abandoned mid-history. Records the op got
@@ -366,9 +428,11 @@ class WalCrashMatrixTest : public ::testing::Test {
       if (ol.first <= applied1) {
         partial =
             static_cast<size_t>(std::min(applied1, ol.last) - ol.first + 1);
-        // Mid-op cuts can only land inside a multi-record group commit;
-        // a single-record op is atomic (partial == whole op).
-        ASSERT_TRUE(ol.kind == Op::kBatch || partial == 1)
+        // Mid-op cuts can only land inside a multi-record group commit
+        // (a batch, or a report's close + insert); a single-record op is
+        // atomic (partial == whole op).
+        ASSERT_TRUE(ol.kind == Op::kBatch || ol.kind == Op::kReport ||
+                    partial == 1)
             << context << ": recovery split a single-record op at LSN "
             << applied1;
       }
@@ -397,12 +461,33 @@ class WalCrashMatrixTest : public ::testing::Test {
     EXPECT_EQ(applied2, applied1) << context;
     EXPECT_TRUE(second_snap == first_snap)
         << context << ": second recovery diverges from the first";
+
+    // Retry safety: the client never got an ack for a report whose insert
+    // did not become durable, so it sends the same report again. The
+    // close either redoes or finds nothing open (NotFound, tolerated);
+    // either way the retried report lands on the full post-report state.
+    if (prefix < ops_.size() && ops_[prefix].kind == Op::kReport &&
+        partial < Reference()[prefix].records) {
+      ASSERT_OK(pager.CrashAndRecover());
+      ASSERT_OK(wal_store.CrashAndRecover());
+      Snapshot retried;
+      Lsn applied3 = 0;
+      Recover(&pager, &wal_store, wopts, meta, context + " (retry)", &retried,
+              &applied3, &ops_[prefix]);
+      if (HasFatalFailure()) return;
+      EXPECT_TRUE(retried == Oracle(prefix + 1, 0))
+          << context << ": retrying report " << prefix
+          << " misses the oracle's post-report state";
+      retries_++;
+    }
   }
 
-  /// Recovers on a fresh pool + Wal over the crashed stores and snapshots.
+  /// Recovers on a fresh pool + Wal over the crashed stores and snapshots,
+  /// applying `retry` (when non-null) to the recovered index first.
   void Recover(FaultInjectionPager* pager, FaultInjectionWalStore* wal_store,
                const WalOptions& wopts, PageId meta,
-               const std::string& context, Snapshot* snap, Lsn* applied) {
+               const std::string& context, Snapshot* snap, Lsn* applied,
+               const Op* retry = nullptr) {
     auto wal = Wal::Open(wal_store, wopts);
     ASSERT_TRUE(wal.ok()) << context << ": " << wal.status().ToString();
     BufferPool pool(pager, 64);
@@ -413,11 +498,16 @@ class WalCrashMatrixTest : public ::testing::Test {
     auto idx = SwstIndex::Recover(&pool, opts, meta, &rstats);
     ASSERT_TRUE(idx.ok()) << context << ": " << idx.status().ToString();
     *applied = (*idx)->applied_lsn();
+    if (retry != nullptr) {
+      ASSERT_OK(ApplyOp(idx->get(), *retry, &meta));
+    }
     ASSERT_OK(TakeSnapshot(idx->get(), snap)) << context;
   }
 
   std::vector<Op> ops_;
   std::map<std::pair<size_t, size_t>, Snapshot> oracles_;
+  std::vector<OpTrace> reference_;
+  int retries_ = 0;  ///< Retry-safety checks run so far.
 };
 
 TEST_F(WalCrashMatrixTest, FaultFreeRunRecoversEverything) {
@@ -460,6 +550,39 @@ TEST_F(WalCrashMatrixTest, CrashAtEveryNthSyncRecoversAPrefix) {
     if (HasFatalFailure()) return;
     EXPECT_TRUE(r.fault_hit) << "fault point never reached";
   }
+}
+
+// Faults aimed inside every two-record report (close frame + insert frame
+// under one sync): failing the insert frame's append leaves the close
+// durable without the insert (the report's error path still syncs it);
+// failing the commit sync leaves both frames to the crash. Each case must
+// recover the oracle's record prefix, recover identically twice, and —
+// whenever the insert was lost — reach the post-report oracle on retry.
+TEST_F(WalCrashMatrixTest, CrashInsideReportRecoversPrefixAndRetries) {
+  const std::vector<OpTrace>& ref = Reference();
+  ASSERT_FALSE(HasFatalFailure());
+  int two_record_reports = 0;
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    if (ops_[i].kind != Op::kReport || ref[i].records != 2) continue;
+    ++two_record_reports;
+    for (const bool at_sync : {false, true}) {
+      const std::string context = (at_sync ? "report-sync@" : "report-insert@") +
+                                  std::to_string(i);
+      SCOPED_TRACE(context);
+      FaultInjectionWalStore::FaultPolicy policy;
+      if (at_sync) {
+        policy.fail_sync_at = ref[i].syncs_after;
+      } else {
+        policy.fail_append_at = ref[i].appends_after;
+      }
+      RunResult r;
+      RunAndCheck(policy, context, &r);
+      if (HasFatalFailure()) return;
+      EXPECT_TRUE(r.fault_hit) << "fault point never reached";
+    }
+  }
+  EXPECT_GT(two_record_reports, 0) << "workload has no closing report";
+  EXPECT_GT(retries_, 0) << "no case exercised the retry check";
 }
 
 // Acked current-entry insert, crash before the close ever runs: recovery
@@ -620,6 +743,64 @@ TEST_F(WalCrashMatrixTest, TornLogTailsNeverYieldPhantomOperations) {
     if (HasFatalFailure()) return;
     EXPECT_TRUE(r.fault_hit);
   }
+}
+
+// ReportPosition is one group commit: read through the registry, a report
+// that closes its previous entry logs two records under exactly one sync;
+// a first report, a report whose stay exceeded Dmax (no close), and a
+// report whose previous entry is not open (close NotFound, tolerated) log
+// one record under one sync.
+TEST(WalReportCommitTest, OneSyncPerReport) {
+  obs::MetricsRegistry registry;
+  auto store = WalStore::OpenMemory();
+  WalOptions wopts;
+  wopts.metrics = &registry;
+  auto wal = Wal::Open(store.get(), wopts);
+  ASSERT_TRUE(wal.ok());
+  auto pager = Pager::OpenMemory();
+  BufferPool pool(pager.get(), 64);
+  pool.AttachWal(wal->get());
+  SwstOptions opts = SmallOptions();
+  opts.wal = wal->get();
+  auto idx = SwstIndex::Create(&pool, opts);
+  ASSERT_TRUE(idx.ok());
+  // Registration is idempotent: these are the WAL's own counters.
+  auto syncs = registry.RegisterCounter("swst_wal_syncs_total", "");
+  auto records = registry.RegisterCounter("swst_wal_records_total", "");
+
+  struct Delta {
+    uint64_t syncs, records;
+  };
+  auto report = [&](ObjectId oid, Point pos, Timestamp t, const Entry* prev,
+                    Entry* cur) -> Delta {
+    const uint64_t s0 = syncs->value(), r0 = records->value();
+    EXPECT_OK((*idx)->ReportPosition(oid, pos, t, prev, cur));
+    return Delta{syncs->value() - s0, records->value() - r0};
+  };
+  Entry a, b, c, d;
+  Delta first = report(1, {100, 100}, 100, nullptr, &a);
+  EXPECT_EQ(first.syncs, 1u);
+  EXPECT_EQ(first.records, 1u);
+
+  Delta closing = report(1, {200, 200}, 150, &a, &b);
+  EXPECT_EQ(closing.syncs, 1u);
+  EXPECT_EQ(closing.records, 2u);
+
+  Delta long_stay = report(1, {300, 300}, 150 + 201, &b, &c);  // > Dmax.
+  EXPECT_EQ(long_stay.syncs, 1u);
+  EXPECT_EQ(long_stay.records, 1u);
+
+  const Entry never_inserted =
+      MakeEntry(9, 400, 400, 360, kUnknownDuration);
+  Delta not_open = report(9, {410, 410}, 380, &never_inserted, &d);
+  EXPECT_EQ(not_open.syncs, 1u);
+  EXPECT_EQ(not_open.records, 1u);
+
+  // Only a was closed; b (left open past Dmax), c and d are current.
+  auto debug = (*idx)->GetDebugStats();
+  ASSERT_TRUE(debug.ok());
+  EXPECT_EQ(debug->current_entries, 3u);
+  EXPECT_EQ(debug->entries, 4u);
 }
 
 }  // namespace
