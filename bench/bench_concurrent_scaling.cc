@@ -18,6 +18,14 @@
 // the query path, no unbounded growth for long runs); reservoirs are merged
 // after the threads join and percentiles are computed over the union.
 //
+// The read-only scaling gate gets its own paired section: 7 back-to-back
+// 1-thread/8-thread rep pairs (the order inside a pair alternates, both
+// sides run the same total number of queries). The top-level "scaling"
+// JSON object lists every per-pair qps(8)/qps(1) speedup and their median;
+// the checker fails only when the 75th-percentile speedup is below its
+// hardware-scaled floor, so one oversubscribed-scheduler rep cannot flip
+// the gate but a read path that stops scaling still does.
+//
 // The run also prices the always-on observability stack: the index runs
 // with a SlowQueryLog attached throughout, and a final A/B section re-runs
 // the mixed-mode 4-thread point with the process-wide flight recorder
@@ -238,6 +246,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Even in smoke mode each A/B rep runs a few hundred queries per thread:
+  // a sub-10ms measurement would be scheduler noise, and the paired
+  // sections below are pass/fail gates, not a scaling curve.
+  const int ab_queries = std::max(queries_per_thread, 200);
+  constexpr int kPairs = 7;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+
+  // Read-only 8T/1T scaling, paired: each pair runs both sides back to
+  // back on the same total query count, order alternating between pairs.
+  // A virtualized host may park idle vCPUs: from idle, a pure compute loop
+  // on a 4-vCPU KVM guest ran 8 threads at 1.0x its 1-thread speed for
+  // the first ~1.1 s of demand, then at 3.6x. Two seconds of 8-thread
+  // read-only load first keep that wake-up out of the pairs.
+  const auto warm_up = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - warm_up <
+         std::chrono::seconds(2)) {
+    RunPoint(idx.get(), queries, 8, ab_queries, /*mixed=*/false, mixer);
+  }
+  std::vector<double> speedups;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    auto run_read_only = [&](int threads) {
+      return RunPoint(idx.get(), queries, threads, ab_queries * 8 / threads,
+                      /*mixed=*/false, mixer)
+          .qps;
+    };
+    const bool one_first = pair % 2 == 0;
+    const double first = run_read_only(one_first ? 1 : 8);
+    const double second = run_read_only(one_first ? 8 : 1);
+    const double qps1 = one_first ? first : second;
+    const double qps8 = one_first ? second : first;
+    speedups.push_back(qps1 > 0 ? qps8 / qps1 : 0.0);
+  }
+
   // Flight-recorder overhead A/B on the busiest observable point (mixed
   // mode: the writer emits snapshot-publish/epoch-reclaim events while the
   // clients query). Each pair runs both sides back to back, so the pair
@@ -246,11 +290,6 @@ int main(int argc, char** argv) {
   // production and the A/B exists to prove that is affordable.
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   const int ab_threads = 4;
-  constexpr int kPairs = 7;
-  // Even in smoke mode each A/B rep runs a few hundred queries per thread:
-  // a sub-10ms measurement would be scheduler noise, and this section is a
-  // pass/fail gate, not a scaling curve.
-  const int ab_queries = std::max(queries_per_thread, 200);
   auto run_ab = [&](bool enabled) {
     recorder.SetEnabled(enabled);
     return RunPoint(idx.get(), queries, ab_threads, ab_queries,
@@ -267,9 +306,6 @@ int main(int argc, char** argv) {
     ratios.push_back(off > 0 ? on / off : 0.0);
   }
   recorder.SetEnabled(true);
-  std::vector<double> sorted = ratios;
-  std::sort(sorted.begin(), sorted.end());
-  const double median_ratio = sorted[kPairs / 2];
 
   std::printf("{\n  \"bench\": \"concurrent_scaling\",\n");
   std::printf("  \"objects\": %llu,\n",
@@ -283,7 +319,14 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kPairs; ++i) {
     std::printf("%s%.3f", i == 0 ? "" : ", ", ratios[i]);
   }
-  std::printf("], \"median_ratio\": %.3f},\n", median_ratio);
+  std::printf("], \"median_ratio\": %.3f},\n", median(ratios));
+  std::printf("  \"scaling\": {\"mode\": \"read_only\", \"threads\": [1, 8], "
+              "\"pairs\": %d, \"speedups\": [",
+              kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    std::printf("%s%.3f", i == 0 ? "" : ", ", speedups[i]);
+  }
+  std::printf("], \"median_speedup\": %.3f},\n", median(speedups));
   std::printf("  \"results\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];

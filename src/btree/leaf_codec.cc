@@ -45,6 +45,17 @@ const char* GetVarint(const char* p, const char* end, uint64_t* out) {
   return nullptr;
 }
 
+// GetVarint when `keep`; otherwise skips the varint under exactly the
+// same acceptance rule without assembling its value.
+const char* ReadVarint(const char* p, const char* end, bool keep,
+                       uint64_t* out) {
+  if (keep) return GetVarint(p, end, out);
+  for (int shift = 0; p < end && shift < 64; shift += 7) {
+    if ((static_cast<uint8_t>(*p++) & 0x80) == 0) return p;
+  }
+  return nullptr;
+}
+
 // Encoded size of one record given its key delta against the previous
 // record (0 for a chunk's first record, whose delta is against base_key ==
 // its own key). Deltas use wrapping arithmetic, so the codec round-trips
@@ -114,6 +125,71 @@ Status CorruptLeaf(PageId id, const char* what) {
                             ": " + what);
 }
 
+// The one validating walk over a v2 leaf's record stream. Every record's
+// key is decoded and offered to `want(key)`; only when it returns true is
+// the rest of the record decoded into a `BTreeRecord` for `emit`,
+// otherwise its varints and point are skipped — still bounds-checked.
+// The whole stream is always walked: the exact `count` records must
+// consume exactly `payload_bytes`, whatever `want` says.
+template <typename Want, typename Emit>
+Status WalkV2(const void* page, PageId id, Want&& want, Emit&& emit) {
+  const char* base = static_cast<const char*>(page);
+  const auto* h = reinterpret_cast<const NodeHeader*>(base);
+  if (h->count > kLeafV2MaxRecords) {
+    return CorruptLeaf(id, "record count exceeds capacity");
+  }
+  const auto* vh =
+      reinterpret_cast<const LeafV2Header*>(base + sizeof(NodeHeader));
+  if (vh->payload_bytes > kLeafV2StreamCapacity) {
+    return CorruptLeaf(id, "payload length exceeds page");
+  }
+  const char* p = base + sizeof(NodeHeader) + sizeof(LeafV2Header);
+  const char* end = p + vh->payload_bytes;
+  uint64_t key = vh->base_key;
+  for (uint16_t i = 0; i < h->count; ++i) {
+    uint64_t delta;
+    if ((p = GetVarint(p, end, &delta)) == nullptr) {
+      return CorruptLeaf(id, "truncated key delta");
+    }
+    key += delta;
+    const bool keep = want(key);
+    BTreeRecord r;
+    uint64_t dur1 = 0;
+    if ((p = ReadVarint(p, end, keep, &r.entry.oid)) == nullptr) {
+      return CorruptLeaf(id, "truncated oid");
+    }
+    if (static_cast<size_t>(end - p) < sizeof(Point)) {
+      return CorruptLeaf(id, "truncated position");
+    }
+    if (keep) std::memcpy(&r.entry.pos, p, sizeof(Point));
+    p += sizeof(Point);
+    if ((p = ReadVarint(p, end, keep, &r.entry.start)) == nullptr) {
+      return CorruptLeaf(id, "truncated start");
+    }
+    if ((p = ReadVarint(p, end, keep, &dur1)) == nullptr) {
+      return CorruptLeaf(id, "truncated duration");
+    }
+    if (!keep) continue;
+    r.key = key;
+    r.entry.duration = dur1 - 1;  // 0 wraps back to kUnknownDuration.
+    emit(r);
+  }
+  if (p != end) {
+    return CorruptLeaf(id, "payload length mismatch");
+  }
+  return Status::OK();
+}
+
+Status CorruptV1(PageId id) {
+  return Status::Corruption("malformed B+ tree node on page " +
+                            std::to_string(id));
+}
+
+Status NotALeaf(PageId id) {
+  return Status::Corruption("page " + std::to_string(id) +
+                            " is not a leaf node");
+}
+
 }  // namespace
 
 LeafEncoding DefaultLeafEncoding() {
@@ -126,63 +202,47 @@ void SetDefaultLeafEncoding(LeafEncoding e) {
 
 Status DecodeLeaf(const void* page, PageId id, std::vector<BTreeRecord>* out) {
   out->clear();
-  const char* base = static_cast<const char*>(page);
-  const auto* h = reinterpret_cast<const NodeHeader*>(base);
-
+  const auto* h = static_cast<const NodeHeader*>(page);
   if (h->type == kLeafType) {
-    if (h->count > kLeafCapacity) {
-      return Status::Corruption("malformed B+ tree node on page " +
-                                std::to_string(id));
-    }
+    if (h->count > kLeafCapacity) return CorruptV1(id);
     const auto* leaf = static_cast<const LeafNode*>(page);
     out->assign(leaf->records, leaf->records + leaf->header.count);
     return Status::OK();
   }
-  if (h->type != kLeafV2Type) {
-    return Status::Corruption("page " + std::to_string(id) +
-                              " is not a leaf node");
-  }
-  if (h->count > kLeafV2MaxRecords) {
-    return CorruptLeaf(id, "record count exceeds capacity");
-  }
-  const auto* vh =
-      reinterpret_cast<const LeafV2Header*>(base + sizeof(NodeHeader));
-  if (vh->payload_bytes > kLeafV2StreamCapacity) {
-    return CorruptLeaf(id, "payload length exceeds page");
-  }
-  const char* p = base + sizeof(NodeHeader) + sizeof(LeafV2Header);
-  const char* end = p + vh->payload_bytes;
+  if (h->type != kLeafV2Type) return NotALeaf(id);
   out->reserve(h->count);
-  uint64_t prev = vh->base_key;
-  for (uint16_t i = 0; i < h->count; ++i) {
-    BTreeRecord r;
-    uint64_t delta, dur1;
-    if ((p = GetVarint(p, end, &delta)) == nullptr) {
-      return CorruptLeaf(id, "truncated key delta");
+  return WalkV2(
+      page, id, [](uint64_t) { return true; },
+      [out](const BTreeRecord& r) { out->push_back(r); });
+}
+
+Status ScanLeafRanges(const void* page, PageId id, const KeyRange* ranges,
+                      size_t n_ranges, std::vector<BTreeRecord>* out) {
+  out->clear();
+  const auto* h = static_cast<const NodeHeader*>(page);
+  if (h->type == kLeafType) {
+    if (h->count > kLeafCapacity) return CorruptV1(id);
+    const auto* leaf = static_cast<const LeafNode*>(page);
+    for (size_t r = 0; r < n_ranges; ++r) {
+      for (int pos = LowerBoundRecord(leaf, ranges[r].lo);
+           pos < leaf->header.count && leaf->records[pos].key <= ranges[r].hi;
+           ++pos) {
+        out->push_back(leaf->records[pos]);
+      }
     }
-    r.key = prev + delta;
-    prev = r.key;
-    if ((p = GetVarint(p, end, &r.entry.oid)) == nullptr) {
-      return CorruptLeaf(id, "truncated oid");
-    }
-    if (static_cast<size_t>(end - p) < sizeof(Point)) {
-      return CorruptLeaf(id, "truncated position");
-    }
-    std::memcpy(&r.entry.pos, p, sizeof(Point));
-    p += sizeof(Point);
-    if ((p = GetVarint(p, end, &r.entry.start)) == nullptr) {
-      return CorruptLeaf(id, "truncated start");
-    }
-    if ((p = GetVarint(p, end, &dur1)) == nullptr) {
-      return CorruptLeaf(id, "truncated duration");
-    }
-    r.entry.duration = dur1 - 1;  // 0 wraps back to kUnknownDuration.
-    out->push_back(r);
+    return Status::OK();
   }
-  if (p != end) {
-    return CorruptLeaf(id, "payload length mismatch");
-  }
-  return Status::OK();
+  if (h->type != kLeafV2Type) return NotALeaf(id);
+  // Keys arrive in ascending order, so one cursor over the sorted ranges
+  // decides membership: skip the ranges that end below the key.
+  size_t r = 0;
+  return WalkV2(
+      page, id,
+      [&](uint64_t key) {
+        while (r < n_ranges && ranges[r].hi < key) ++r;
+        return r < n_ranges && ranges[r].lo <= key;
+      },
+      [out](const BTreeRecord& rec) { out->push_back(rec); });
 }
 
 Result<LeafEncodeInfo> EncodeLeaf(void* page, const BTreeRecord* recs,

@@ -18,7 +18,10 @@ namespace btree_internal {
 /// Every leaf mutation in the B+ tree is decode → modify → encode: the
 /// records of a leaf are materialized into a sorted vector, changed there,
 /// and written back through `EncodeLeaf`. That single funnel is what makes
-/// two on-page formats coexist:
+/// two on-page formats coexist. Range reads do not materialize leaves:
+/// `ScanLeafRanges` answers a leaf's whole range slice in one pass,
+/// binary-searching a v1 page in place and decoding only the v2 records
+/// whose keys match:
 ///
 ///  - **v1** (`kLeafType`): header + raw `BTreeRecord[]`, the original
 ///    fixed-stride layout. Capacity `kLeafCapacity` (170) records.
@@ -52,7 +55,10 @@ namespace btree_internal {
 /// against `payload_bytes`, which itself is checked against the stream
 /// capacity, and the stream must consume exactly `payload_bytes` for
 /// exactly `count` records — anything else is `Status::Corruption`.
-/// (The page CRC catches torn writes first; these checks catch logically
+/// `DecodeLeaf` and `ScanLeafRanges` share one validating v2 walker, so a
+/// page is rejected by both or by neither, and a scan always validates
+/// the whole stream, not just the records up to its last range. (The page
+/// CRC catches torn writes first; these checks catch logically
 /// inconsistent encodings that still checksum correctly.)
 
 enum class LeafEncoding { kV1, kV2 };
@@ -74,6 +80,14 @@ struct LeafEncodeInfo {
 /// Decodes the leaf page at `page` (either format) into `*out`, replacing
 /// its contents. `id` is only used in error messages.
 Status DecodeLeaf(const void* page, PageId id, std::vector<BTreeRecord>* out);
+
+/// Replaces `*out` with the records of the leaf at `page` (either format)
+/// whose keys lie in one of `ranges[0, n_ranges)` — sorted and disjoint —
+/// in key order: the records `DecodeLeaf` yields that fall in a range,
+/// without materializing the rest. Fails exactly when `DecodeLeaf` does,
+/// after the same checks. `id` is only used in error messages.
+Status ScanLeafRanges(const void* page, PageId id, const KeyRange* ranges,
+                      size_t n_ranges, std::vector<BTreeRecord>* out);
 
 /// Encodes `recs[0, n)` (sorted by key) into `page`, writing the full node
 /// header. Prefers `DefaultLeafEncoding()`, falls back to the other format,

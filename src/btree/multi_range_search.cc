@@ -7,14 +7,13 @@
 
 namespace swst {
 
-using btree_internal::DecodeLeaf;
 using btree_internal::FetchNode;
 using btree_internal::InternalNode;
 using btree_internal::IsLeafType;
 using btree_internal::kInternalType;
 using btree_internal::kMaxDepth;
 using btree_internal::LowerBoundChild;
-using btree_internal::LowerBoundRecord;
+using btree_internal::ScanLeafRanges;
 using btree_internal::UpperBoundChild;
 
 namespace {
@@ -75,7 +74,7 @@ Status BTree::SearchRanges(
     }
     prefetch.Finish();  // Reap completions; the level is now pool-resident.
 
-    std::vector<BTreeRecord> recs;
+    std::vector<BTreeRecord> matches;
     for (const WorkItem& item : level) {
       auto page = FetchNode(pool_, item.node);
       if (!page.ok()) return page.status();
@@ -83,16 +82,14 @@ Status BTree::SearchRanges(
 
       if (IsLeafType(page->As<btree_internal::NodeHeader>()->type)) {
         is_leaf_level = true;
-        // Decode once, then answer every range of this leaf from the
-        // decoded records.
-        SWST_RETURN_IF_ERROR(DecodeLeaf(page->data(), item.node, &recs));
+        // One pass answers every range of this leaf. The whole page is
+        // validated before any of its records reaches `fn`.
+        SWST_RETURN_IF_ERROR(ScanLeafRanges(
+            page->data(), item.node, ranges.data() + item.range_begin,
+            item.range_end - item.range_begin, &matches));
         page->Release();
-        for (size_t r = item.range_begin; r < item.range_end; ++r) {
-          size_t pos =
-              static_cast<size_t>(LowerBoundRecord(recs, ranges[r].lo));
-          for (; pos < recs.size() && recs[pos].key <= ranges[r].hi; ++pos) {
-            if (!fn(recs[pos])) return Status::OK();
-          }
+        for (const BTreeRecord& rec : matches) {
+          if (!fn(rec)) return Status::OK();
         }
         continue;
       }

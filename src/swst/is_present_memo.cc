@@ -87,8 +87,9 @@ void IsPresentMemo::AddN(uint32_t cell, int slot, uint32_t column, uint32_t dp,
     mbr.hi_x = std::max(mbr.hi_x, q.hi_x);
     mbr.hi_y = std::max(mbr.hi_y, q.hi_y);
   }
+  assert(dp < d_slots_);
   BeginWrite(m);
-  const uint32_t count = s.count.load(std::memory_order_relaxed);
+  const uint16_t count = s.count.load(std::memory_order_relaxed);
   if (count != 0) {
     mbr.lo_x = std::min(mbr.lo_x, s.min_x.load(std::memory_order_relaxed));
     mbr.lo_y = std::min(mbr.lo_y, s.min_y.load(std::memory_order_relaxed));
@@ -99,18 +100,28 @@ void IsPresentMemo::AddN(uint32_t cell, int slot, uint32_t column, uint32_t dp,
   s.min_y.store(mbr.lo_y, std::memory_order_relaxed);
   s.max_x.store(mbr.hi_x, std::memory_order_relaxed);
   s.max_y.store(mbr.hi_y, std::memory_order_relaxed);
-  s.count.store(count + static_cast<uint32_t>(n), std::memory_order_relaxed);
+  s.count.store(static_cast<uint16_t>(std::min<size_t>(count + n,
+                                                       kSaturatedCount)),
+                std::memory_order_relaxed);
+  m.count.store(m.count.load(std::memory_order_relaxed) +
+                    static_cast<uint32_t>(n),
+                std::memory_order_relaxed);
   EndWrite(m, ver);
 }
 
 void IsPresentMemo::Remove(uint32_t cell, int slot, uint32_t column,
                            uint32_t dp, uint64_t ver) {
+  assert(dp < d_slots_);
   AtomicCellStat& s = stats_[Index(cell, slot, column, dp)];
   ColMeta& m = meta_[ColIndex(cell, slot, column)];
-  const uint32_t count = s.count.load(std::memory_order_relaxed);
+  const uint16_t count = s.count.load(std::memory_order_relaxed);
   assert(count > 0);
   BeginWrite(m);
-  if (count == 1) {
+  m.count.store(m.count.load(std::memory_order_relaxed) - 1,
+                std::memory_order_relaxed);
+  if (count == kSaturatedCount) {
+    // Sticky: the true count is unknown, so the cell stays non-empty.
+  } else if (count == 1) {
     s.count.store(0, std::memory_order_relaxed);
     s.min_x.store(0, std::memory_order_relaxed);
     s.max_x.store(0, std::memory_order_relaxed);
@@ -127,6 +138,7 @@ void IsPresentMemo::ResetSlot(uint32_t cell, int slot, uint64_t ver) {
     ColMeta& m = meta_[ColIndex(cell, slot, column)];
     AtomicCellStat* col = &stats_[Index(cell, slot, column, 0)];
     BeginWrite(m);
+    m.count.store(0, std::memory_order_relaxed);
     for (uint32_t dp = 0; dp < d_slots_; ++dp) {
       col[dp].count.store(0, std::memory_order_relaxed);
       col[dp].min_x.store(0, std::memory_order_relaxed);
@@ -184,11 +196,10 @@ bool IsPresentMemo::ReadColumn(uint32_t cell, int slot, uint32_t column,
 }
 
 bool IsPresentMemo::TrimColumn(uint32_t cell, int slot, uint32_t column,
-                               uint64_t snapshot_version, const Rect& overlap,
+                               uint64_t snapshot_version, const QRect& q,
                                uint32_t* n_start, uint32_t* n_end) const {
   const ColMeta& m = meta_[ColIndex(cell, slot, column)];
   const AtomicCellStat* col = &stats_[Index(cell, slot, column, 0)];
-  const QRect q = Quantize(cell, overlap);
   // Individual loads are relaxed; the seqlock validation below makes the
   // whole trim consistent, exactly as it does for a ReadColumn copy.
   auto intersects = [&](uint32_t dp) {
@@ -201,16 +212,26 @@ bool IsPresentMemo::TrimColumn(uint32_t cell, int slot, uint32_t column,
   for (int retry = 0; retry < kSeqlockRetries; ++retry) {
     const uint32_t s1 = m.seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;
+    // Slots past the memo's (the reserved current-entry d-partition) are
+    // empty, so the trim never looks beyond the last memo slot.
     uint32_t lo = *n_start;
-    uint32_t hi = *n_end;
-    while (lo <= hi && !intersects(lo)) lo++;
-    while (hi > lo && !intersects(hi)) hi--;
+    uint32_t hi = std::min(*n_end, d_slots_ - 1);
+    if (m.count.load(std::memory_order_relaxed) == 0) {
+      lo = hi + 1;  // Empty column: pruned without reading its stats.
+    } else {
+      while (lo <= hi && !intersects(lo)) lo++;
+      while (hi > lo && !intersects(hi)) hi--;
+    }
     const uint64_t ver = m.ver.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (m.seq.load(std::memory_order_relaxed) != s1) continue;
     if (ver > snapshot_version) return false;
-    *n_start = lo;
-    *n_end = hi;
+    if (lo > hi) {
+      *n_start = *n_end + 1;
+    } else {
+      *n_start = lo;
+      *n_end = hi;
+    }
     return true;
   }
   return false;

@@ -23,22 +23,42 @@ namespace swst {
 /// (t_start, t_end) representation of classic historical indexes cannot be
 /// gridded this way.
 ///
-/// Entry counts are exact under insertion and deletion; MBRs only grow on
-/// insert (a conservative over-approximation) and reset when a temporal
-/// cell empties or when a whole tree slot is dropped with the expired
-/// window.
+/// Entry counts are exact under insertion and deletion (up to saturation,
+/// see "Saturating counts"); MBRs only grow on insert (a conservative
+/// over-approximation) and reset when a temporal cell empties or when a
+/// whole tree slot is dropped with the expired window.
 ///
 /// ## Quantized MBRs
 ///
-/// Each temporal cell costs 12 bytes: the count plus four 16-bit MBR
+/// Each temporal cell costs 10 bytes: a 16-bit count plus four 16-bit MBR
 /// coordinates on a 65536-step lattice spanning its spatial cell's
 /// rectangle (given at construction). Stored minimums are floored and
 /// maximums ceiled onto the lattice; query rectangles are quantized
-/// outward the same way and compared as integers. Both mappings are
-/// monotone and `floor <= ceil` pointwise, so a point inside a query
-/// rectangle can never be pruned — pruning stays conservative by
+/// outward the same way (`Quantize`) and compared as integers. Both
+/// mappings are monotone and `floor <= ceil` pointwise, so a point inside
+/// a query rectangle can never be pruned — pruning stays conservative by
 /// construction, whatever the floating-point rounding. Coordinates outside
 /// the cell clamp to the lattice edges, which keeps that property.
+///
+/// ## Saturating counts
+///
+/// A temporal cell's count saturates at `kSaturatedCount` (0xFFFF) and
+/// then sticks: `Remove` leaves a saturated count (and its MBR) in place
+/// until `ResetSlot` drops the whole slot. A saturated cell therefore
+/// always reads as non-empty, which is conservative — it can only keep a
+/// cell that a search then finds empty, never prune a live entry. The
+/// exact number of entries of each *column* is kept separately (see
+/// below), so a column that truly empties is still pruned whole.
+///
+/// ## Columns
+///
+/// The stats of one (cell, slot, column) — its d-partitions — are stored
+/// contiguously. Alongside them each column keeps its exact entry count;
+/// `TrimColumn` rejects a column whose count is 0 with one load, without
+/// touching its stats (most columns a query overlaps are empty). Closed
+/// entries alone reach the memo — current entries live in the in-memory
+/// live tier — so a column has `Dp` d-slots and no slot for the reserved
+/// current-entry d-partition; `TrimColumn` treats that partition as empty.
 ///
 /// ## Concurrency
 ///
@@ -58,11 +78,14 @@ namespace swst {
 /// as "never modified").
 class IsPresentMemo {
  public:
-  /// Per-temporal-cell statistics (12 bytes; the paper budgets 16 for the
+  /// Where a temporal cell's count sticks (see "Saturating counts").
+  static constexpr uint16_t kSaturatedCount = 0xFFFF;
+
+  /// Per-temporal-cell statistics (10 bytes; the paper budgets 16 for the
   /// MBR alone). Coordinates are lattice steps within the spatial cell's
   /// rectangle, not domain coordinates (see "Quantized MBRs").
   struct CellStat {
-    uint32_t count = 0;
+    uint16_t count = 0;
     uint16_t min_x = 0, min_y = 0, max_x = 0, max_y = 0;
 
     friend bool operator==(const CellStat&, const CellStat&) = default;
@@ -70,9 +93,15 @@ class IsPresentMemo {
     bool empty() const { return count == 0; }
   };
 
+  /// A rectangle on one cell's lattice: `lo` floored, `hi` ceiled.
+  struct QRect {
+    uint16_t lo_x, lo_y, hi_x, hi_y;
+  };
+
   /// One memo cell per entry of `cell_rects` (the spatial cells' domain
   /// rectangles, which anchor the MBR lattices), each with 2 slots of
-  /// `s_partitions * d_slots` temporal cells.
+  /// `s_partitions * d_slots` temporal cells. `d_slots` is the number of
+  /// closed-entry d-partitions (`Dp`).
   IsPresentMemo(const std::vector<Rect>& cell_rects, uint32_t s_partitions,
                 uint32_t d_slots);
 
@@ -92,7 +121,8 @@ class IsPresentMemo {
             const Point* pts, size_t n, uint64_t ver = 0);
 
   /// Removes one entry. The MBR resets when the count reaches zero,
-  /// otherwise it stays (conservatively) unchanged.
+  /// otherwise it stays (conservatively) unchanged; a saturated count
+  /// stays saturated.
   void Remove(uint32_t cell, int slot, uint32_t column, uint32_t dp,
               uint64_t ver = 0);
 
@@ -117,25 +147,36 @@ class IsPresentMemo {
   bool ReadColumn(uint32_t cell, int slot, uint32_t column,
                   uint64_t snapshot_version, CellStat* out) const;
 
+  /// Quantizes `r` (domain coordinates; a point when lo == hi) outward
+  /// onto `cell`'s lattice.
+  QRect Quantize(uint32_t cell, const Rect& r) const;
+
   /// Wait-free trimming read, the query hot path: advances `*n_start` up /
   /// `*n_end` down past the temporal cells of one column whose stats
-  /// cannot intersect `overlap`, exactly as the caller's own trim loops
-  /// over a `ReadColumn` copy would — but touching only the stats those
-  /// loops actually inspect (an empty temporal cell costs one count load,
-  /// the common case in a mostly-prunable column, instead of a full
-  /// column copy). Post-condition on success: either `*n_start > *n_end`
-  /// (the whole column is pruned) or the cell at `*n_start` intersects.
-  /// Returns true iff the trim was computed from a consistent view
-  /// (bounded seqlock retries) last modified at or before
-  /// `snapshot_version`; on false the bounds are untouched and the caller
-  /// must not prune.
+  /// cannot intersect `overlap` (quantized by `Quantize` for this cell),
+  /// exactly as the caller's own trim loops over a `ReadColumn` copy would
+  /// — but touching only the stats those loops actually inspect: an empty
+  /// column costs one count load, an empty temporal cell one more. Slots
+  /// at or past `d_slots()` (the reserved current-entry d-partition) count
+  /// as empty. Requires `*n_start <= *n_end`. Post-condition on success:
+  /// either `*n_start == *n_end + 1` (the whole column is pruned) or the
+  /// cells at `*n_start` and `*n_end` intersect. Returns true iff the trim
+  /// was computed from a consistent view (bounded seqlock retries) last
+  /// modified at or before `snapshot_version`; on false the bounds are
+  /// untouched and the caller must not prune.
   bool TrimColumn(uint32_t cell, int slot, uint32_t column,
-                  uint64_t snapshot_version, const Rect& overlap,
+                  uint64_t snapshot_version, const QRect& overlap,
                   uint32_t* n_start, uint32_t* n_end) const;
 
+  /// Exact number of entries in one column. Same caveat as `At`.
+  uint32_t ColumnCount(uint32_t cell, int slot, uint32_t column) const {
+    return meta_[ColIndex(cell, slot, column)].count.load(
+        std::memory_order_relaxed);
+  }
+
   /// Bytes of statistical state (paper §V-E reports 25 MB at defaults).
-  /// Excludes the per-column seqlock/version words, which are bookkeeping
-  /// rather than statistics.
+  /// Excludes the per-column seqlock/count/version words, which are
+  /// bookkeeping rather than statistics.
   size_t MemoryUsage() const { return n_stats_ * sizeof(CellStat); }
 
   /// Number of temporal cells currently holding at least one entry.
@@ -156,13 +197,13 @@ class IsPresentMemo {
 
  private:
   /// One temporal cell's statistics, field-for-field the atomic mirror of
-  /// `CellStat` (same 12-byte layout, so `MemoryUsage` stays honest).
+  /// `CellStat` (same 10-byte layout, so `MemoryUsage` stays honest).
   struct AtomicCellStat {
-    std::atomic<uint32_t> count{0};
+    std::atomic<uint16_t> count{0};
     std::atomic<uint16_t> min_x{0}, min_y{0}, max_x{0}, max_y{0};
   };
   static_assert(sizeof(AtomicCellStat) == sizeof(CellStat));
-  static_assert(sizeof(CellStat) == 12);
+  static_assert(sizeof(CellStat) == 10);
 
   /// Maps one spatial cell's domain coordinates onto its MBR lattice.
   struct Lattice {
@@ -170,19 +211,15 @@ class IsPresentMemo {
     double sx, sy;  ///< Lattice steps per domain unit.
   };
 
-  /// A rectangle on one cell's lattice: `lo` floored, `hi` ceiled.
-  struct QRect {
-    uint16_t lo_x, lo_y, hi_x, hi_y;
-  };
-  /// Quantizes `r` (domain coordinates; a point when lo == hi) outward
-  /// onto `cell`'s lattice.
-  QRect Quantize(uint32_t cell, const Rect& r) const;
-
-  /// Seqlock + last-writer version of one (cell, slot, column) column.
+  /// Seqlock, exact entry count and last-writer version of one
+  /// (cell, slot, column) column. The count fills what would otherwise be
+  /// padding before `ver`.
   struct ColMeta {
-    std::atomic<uint32_t> seq{0};  ///< Odd while a write is in progress.
-    std::atomic<uint64_t> ver{0};  ///< Shard version of the last write.
+    std::atomic<uint32_t> seq{0};    ///< Odd while a write is in progress.
+    std::atomic<uint32_t> count{0};  ///< Entries in the column's d-slots.
+    std::atomic<uint64_t> ver{0};    ///< Shard version of the last write.
   };
+  static_assert(sizeof(ColMeta) == 16);
 
   size_t Index(uint32_t cell, int slot, uint32_t column, uint32_t dp) const {
     return ((static_cast<size_t>(cell) * 2 + slot) * sp_ + column) * d_slots_ +

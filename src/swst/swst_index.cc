@@ -39,7 +39,9 @@ SwstIndex::SwstIndex(BufferPool* pool, const SwstOptions& options)
   target = std::clamp(target, 1u, total);
   cells_per_shard_ = (total + target - 1) / target;
   const uint32_t sp = options.s_partitions();
-  const uint32_t ds = options.d_partition_slots();
+  // Only closed entries reach the memo: no slot for the reserved
+  // current-entry d-partition.
+  const uint32_t ds = options.d_partitions();
   for (uint32_t begin = 0; begin < total; begin += cells_per_shard_) {
     const uint32_t count = std::min(cells_per_shard_, total - begin);
     std::vector<Rect> rects;
@@ -866,6 +868,10 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
   const uint32_t qy_hi =
       codec_.Quantize(co.overlap.hi.y - cell_rect.lo.y, grid_.cell_height());
 
+  // The overlap on this cell's memo lattice, shared by every column trim.
+  const IsPresentMemo::QRect memo_overlap =
+      shard.memo.Quantize(local_cell, co.overlap);
+
   // One sorted, disjoint key-range list per tree slot (paper §IV-B.b).
   std::vector<KeyRange> ranges[2];
   for (uint32_t field : plan.active_fields) {
@@ -878,7 +884,7 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
     uint32_t n_end = d_slots - 1;
     if (options_.use_memo &&
         shard.memo.TrimColumn(local_cell, slot, col.m_local, snap->version,
-                              co.overlap, &n_start, &n_end)) {
+                              memo_overlap, &n_start, &n_end)) {
       // The wait-free trim is seqlock-consistent and no newer than this
       // snapshot, so it is safe to prune with. It drops empty temporal
       // cells at the bottom and top of the column (middle holes are kept;
@@ -1748,28 +1754,42 @@ Status SwstIndex::ApplyLogged(WalRecordType type, const char* payload,
 }
 
 Status SwstIndex::RebuildMemo() {
+  const uint32_t d_parts = options_.d_partitions();
   for (auto& shard : shards_) {
     std::unique_lock<std::shared_mutex> lock(shard->mu);
     const uint64_t ver = shard->version + 1;
     for (uint32_t local = 0; local < shard->cells.size(); ++local) {
       for (int slot = 0; slot < 2; ++slot) {
         shard->memo.ResetSlot(local, slot, ver);
-        if (shard->cells[local].root[slot] == kInvalidPageId) continue;
-        BTree tree = BTree::Attach(pool_, shard->cells[local].root[slot]);
+        const PageId root = shard->cells[local].root[slot];
+        if (root == kInvalidPageId) continue;
+        BTree tree = BTree::Attach(pool_, root);
+        // Trees hold closed entries only. The memo has no slot for a
+        // current entry (nor for a duration outside [1, Dmax]), so one
+        // means a corrupt tree; never write past the column for it.
+        bool bad_entry = false;
         SWST_RETURN_IF_ERROR(
             tree.Scan(0, UINT64_MAX, [&](const BTreeRecord& rec) {
-              shard->memo.Add(local, slot,
-                              codec_.LocalColumn(rec.entry.start),
-                              codec_.DPartition(rec.entry.duration),
-                              rec.entry.pos, ver);
-              // Re-derive the disk-skip watermark the snapshot needs;
-              // trees hold closed entries only, but stay defensive.
-              if (!rec.entry.is_current()) {
-                shard->max_closed_end = std::max(
-                    shard->max_closed_end, rec.entry.end());
+              const uint32_t dp = codec_.DPartition(rec.entry.duration);
+              if (dp >= d_parts) {
+                bad_entry = true;
+                return false;
               }
+              shard->memo.Add(local, slot,
+                              codec_.LocalColumn(rec.entry.start), dp,
+                              rec.entry.pos, ver);
+              // Re-derive the disk-skip watermark the snapshot needs.
+              shard->max_closed_end =
+                  std::max(shard->max_closed_end, rec.entry.end());
               return true;
             }));
+        if (bad_entry) {
+          return Status::Corruption(
+              "current or out-of-range entry in the B+ tree of cell " +
+              std::to_string(shard->cell_begin + local) + " slot " +
+              std::to_string(slot) + " (root page " + std::to_string(root) +
+              ")");
+        }
       }
     }
     // Expose the freshly loaded directory (Open writes it directly into

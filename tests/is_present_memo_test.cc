@@ -97,10 +97,12 @@ TEST(IsPresentMemoTest, FloatRoundingStaysConservative) {
 }
 
 TEST(IsPresentMemoTest, MemoryUsageMatchesGeometry) {
-  IsPresentMemo memo(Cells(400), 201, 21);
-  // 400 cells * 2 slots * 201 columns * 21 d-slots * 12-byte stats.
-  EXPECT_EQ(sizeof(IsPresentMemo::CellStat), 12u);
-  EXPECT_EQ(memo.MemoryUsage(), 400ull * 2 * 201 * 21 * 12);
+  // Paper defaults: Dp = 20 closed-entry d-partitions, no reserved slot.
+  IsPresentMemo memo(Cells(400), 201, 20);
+  // 400 cells * 2 slots * 201 columns * 20 d-slots * 10-byte stats.
+  EXPECT_EQ(sizeof(IsPresentMemo::CellStat), 10u);
+  EXPECT_EQ(memo.MemoryUsage(), 400ull * 2 * 201 * 20 * 10);
+  EXPECT_EQ(memo.MemoryUsage(), 32160000u);
 }
 
 TEST(IsPresentMemoTest, ReadColumnCopiesAndGatesOnVersion) {
@@ -131,8 +133,8 @@ TEST(IsPresentMemoTest, TrimColumnMatchesManualTrim) {
 
   const Rect probe{{0, 0}, {100, 100}};
   uint32_t lo = 0, hi = 5;
-  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2, probe,
-                              &lo, &hi));
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2,
+                              memo.Quantize(0, probe), &lo, &hi));
   // Both ends trim to the single intersecting temporal cell.
   EXPECT_EQ(lo, 2u);
   EXPECT_EQ(hi, 2u);
@@ -141,15 +143,16 @@ TEST(IsPresentMemoTest, TrimColumnMatchesManualTrim) {
   lo = 0;
   hi = 5;
   ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2,
-                              Rect{{900, 900}, {950, 950}}, &lo, &hi));
+                              memo.Quantize(0, Rect{{900, 900}, {950, 950}}),
+                              &lo, &hi));
   EXPECT_GT(lo, hi);
 
   // An untrusted read (column newer than the snapshot) leaves the caller's
   // bounds untouched so it can fall back to the unpruned range.
   lo = 0;
   hi = 5;
-  EXPECT_FALSE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/1, probe,
-                               &lo, &hi));
+  EXPECT_FALSE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/1,
+                               memo.Quantize(0, probe), &lo, &hi));
   EXPECT_EQ(lo, 0u);
   EXPECT_EQ(hi, 5u);
 
@@ -157,8 +160,8 @@ TEST(IsPresentMemoTest, TrimColumnMatchesManualTrim) {
   // trim never widens the caller's range back over dp 2.
   lo = 3;
   hi = 5;
-  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2, probe,
-                              &lo, &hi));
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, /*snapshot_version=*/2,
+                              memo.Quantize(0, probe), &lo, &hi));
   EXPECT_GT(lo, hi);
 }
 
@@ -227,7 +230,8 @@ TEST(IsPresentMemoTest, QuantizedPruningNeverDropsAContainedPoint) {
               if (co.cell != cell || !co.overlap.Contains(p)) continue;
               uint32_t lo = dp, hi = dp;
               ASSERT_TRUE(memo.TrimColumn(cell, 0, 0, /*snapshot_version=*/1,
-                                          co.overlap, &lo, &hi));
+                                          memo.Quantize(cell, co.overlap),
+                                          &lo, &hi));
               ASSERT_EQ(lo, dp) << "trimmed away (" << p.x << ", " << p.y
                                 << ") in cell " << cell;
             }
@@ -236,6 +240,165 @@ TEST(IsPresentMemoTest, QuantizedPruningNeverDropsAContainedPoint) {
       }
     }
   }
+}
+
+// The trim loops of SearchCell over a ReadColumn copy: the reference
+// TrimColumn must reproduce. d-slots at or past `d_slots` (the reserved
+// current-entry d-partition) are empty.
+std::pair<uint32_t, uint32_t> ReferenceTrim(
+    const std::vector<IsPresentMemo::CellStat>& col,
+    const IsPresentMemo::QRect& q, uint32_t lo, uint32_t hi) {
+  auto hit = [&](uint32_t dp) {
+    if (dp >= col.size() || col[dp].empty()) return false;
+    return col[dp].min_x <= q.hi_x && q.lo_x <= col[dp].max_x &&
+           col[dp].min_y <= q.hi_y && q.lo_y <= col[dp].max_y;
+  };
+  while (lo <= hi && !hit(lo)) lo++;
+  while (hi > lo && !hit(hi)) hi--;
+  return {lo, hi};
+}
+
+// Random Add/AddN/Remove/ResetSlot sequences: after every step each
+// column's exact count equals the sum of its d-slot counts, and TrimColumn
+// agrees with the reference trim for random quantized overlaps and bounds
+// (up to and including the reserved slot one past the memo's).
+TEST(IsPresentMemoTest, RandomOpsKeepColumnCountAndTrimExact) {
+  constexpr uint32_t kCells = 3, kCols = 4, kDSlots = 6;
+  IsPresentMemo memo(Cells(kCells), kCols, kDSlots);
+  Random rng(20261016);
+  uint64_t ver = 0;
+  auto point = [&]() -> Point {
+    return {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000)};
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const uint32_t cell = static_cast<uint32_t>(rng.Uniform(kCells));
+    const int slot = static_cast<int>(rng.Uniform(2));
+    const uint32_t col = static_cast<uint32_t>(rng.Uniform(kCols));
+    const uint32_t dp = static_cast<uint32_t>(rng.Uniform(kDSlots));
+    ++ver;
+    switch (rng.Uniform(10)) {
+      case 0:
+        memo.ResetSlot(cell, slot, ver);
+        break;
+      case 1:
+      case 2: {
+        std::vector<Point> pts(1 + rng.Uniform(4));
+        for (Point& p : pts) p = point();
+        memo.AddN(cell, slot, col, dp, pts.data(), pts.size(), ver);
+        break;
+      }
+      case 3:
+      case 4:
+      case 5:
+        memo.Add(cell, slot, col, dp, point(), ver);
+        break;
+      default:
+        if (!memo.At(cell, slot, col, dp).empty()) {
+          memo.Remove(cell, slot, col, dp, ver);
+        }
+        break;
+    }
+    for (uint32_t c = 0; c < kCells; ++c) {
+      for (int s = 0; s < 2; ++s) {
+        for (uint32_t k = 0; k < kCols; ++k) {
+          std::vector<IsPresentMemo::CellStat> copy(kDSlots);
+          ASSERT_TRUE(memo.ReadColumn(c, s, k, ver, copy.data()));
+          uint32_t sum = 0;
+          for (const auto& st : copy) sum += st.count;
+          ASSERT_EQ(memo.ColumnCount(c, s, k), sum) << "step " << step;
+
+          const double x0 = rng.UniformDouble(0, 1000);
+          const double y0 = rng.UniformDouble(0, 1000);
+          const IsPresentMemo::QRect q = memo.Quantize(
+              c, Rect{{x0, y0},
+                      {x0 + rng.UniformDouble(0, 600),
+                       y0 + rng.UniformDouble(0, 600)}});
+          uint32_t hi = static_cast<uint32_t>(rng.Uniform(kDSlots + 1));
+          uint32_t lo = static_cast<uint32_t>(rng.Uniform(hi + 1));
+          const auto want = ReferenceTrim(copy, q, lo, hi);
+          ASSERT_TRUE(memo.TrimColumn(c, s, k, ver, q, &lo, &hi));
+          ASSERT_EQ(lo, want.first) << "step " << step;
+          ASSERT_EQ(hi, want.second) << "step " << step;
+        }
+      }
+    }
+  }
+}
+
+// A temporal cell's count saturates at 0xFFFF and sticks there through
+// removes (pruning stays conservative), while the column's exact count
+// still lets a truly emptied column be pruned whole. ResetSlot clears it.
+TEST(IsPresentMemoTest, SaturatedCountSticksUntilResetSlot) {
+  IsPresentMemo memo(Cells(1), 2, 3);
+  const std::vector<Point> pts(70000, Point{100, 100});
+  memo.AddN(0, 0, 1, 2, pts.data(), pts.size(), /*ver=*/1);
+  EXPECT_EQ(memo.At(0, 0, 1, 2).count, IsPresentMemo::kSaturatedCount);
+  EXPECT_EQ(memo.ColumnCount(0, 0, 1), 70000u);
+
+  // Adds on top of a saturated (or nearly saturated) count stay there.
+  memo.AddN(0, 0, 1, 1, pts.data(), 0xFFFE, /*ver=*/2);
+  memo.AddN(0, 0, 1, 1, pts.data(), 5, /*ver=*/2);
+  EXPECT_EQ(memo.At(0, 0, 1, 1).count, IsPresentMemo::kSaturatedCount);
+  memo.Add(0, 0, 1, 1, {200, 200}, /*ver=*/2);
+  EXPECT_EQ(memo.At(0, 0, 1, 1).count, IsPresentMemo::kSaturatedCount);
+  EXPECT_EQ(memo.ColumnCount(0, 0, 1), 70000u + 0xFFFE + 5 + 1);
+  memo.ResetSlot(0, 0, /*ver=*/3);
+  memo.AddN(0, 0, 1, 2, pts.data(), pts.size(), /*ver=*/3);
+
+  const IsPresentMemo::QRect probe = memo.Quantize(0, Rect{{0, 0}, {150, 150}});
+  for (int i = 0; i < 69999; ++i) memo.Remove(0, 0, 1, 2, /*ver=*/4);
+  EXPECT_EQ(memo.At(0, 0, 1, 2).count, IsPresentMemo::kSaturatedCount);
+  EXPECT_EQ(memo.ColumnCount(0, 0, 1), 1u);
+  EXPECT_TRUE(memo.MayContain(0, 0, 1, 2, Rect{{0, 0}, {150, 150}}));
+  uint32_t lo = 0, hi = 2;
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, 4, probe, &lo, &hi));
+  EXPECT_EQ(lo, 2u);
+  EXPECT_EQ(hi, 2u);
+
+  // The last remove empties the column: the slot still reads saturated,
+  // but the column count prunes the whole column.
+  memo.Remove(0, 0, 1, 2, /*ver=*/5);
+  EXPECT_EQ(memo.At(0, 0, 1, 2).count, IsPresentMemo::kSaturatedCount);
+  EXPECT_EQ(memo.ColumnCount(0, 0, 1), 0u);
+  lo = 0;
+  hi = 2;
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 1, 5, probe, &lo, &hi));
+  EXPECT_EQ(lo, 3u);
+  EXPECT_EQ(hi, 2u);
+
+  memo.ResetSlot(0, 0, /*ver=*/6);
+  EXPECT_TRUE(memo.At(0, 0, 1, 2).empty());
+  EXPECT_EQ(memo.ColumnCount(0, 0, 1), 0u);
+}
+
+// SearchCell trims up to the reserved current-entry d-partition, one past
+// the memo's last slot. That partition reads as empty: a column whose only
+// overlapping partition is the reserved one is pruned, even when the
+// column holds entries elsewhere.
+TEST(IsPresentMemoTest, TrimTreatsReservedSlotAsEmpty) {
+  constexpr uint32_t kDSlots = 4;  // Reserved partition index: 4.
+  IsPresentMemo memo(Cells(1), 1, kDSlots);
+  const IsPresentMemo::QRect all = memo.Quantize(0, Rect{{0, 0}, {1000, 1000}});
+  memo.Add(0, 0, 0, 3, {10, 10}, /*ver=*/1);
+
+  uint32_t lo = 0, hi = kDSlots;
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 1, all, &lo, &hi));
+  EXPECT_EQ(lo, 3u);
+  EXPECT_EQ(hi, 3u);
+
+  lo = kDSlots;
+  hi = kDSlots;
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 1, all, &lo, &hi));
+  EXPECT_EQ(lo, kDSlots + 1);
+  EXPECT_EQ(hi, kDSlots);
+
+  memo.Remove(0, 0, 0, 3, /*ver=*/2);
+  memo.Add(0, 0, 0, 1, {10, 10}, /*ver=*/2);
+  lo = 2;
+  hi = kDSlots;
+  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 2, all, &lo, &hi));
+  EXPECT_EQ(lo, kDSlots + 1);
+  EXPECT_EQ(hi, kDSlots);
 }
 
 }  // namespace

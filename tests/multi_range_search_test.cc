@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
+#include "btree/leaf_codec.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 
@@ -154,6 +156,45 @@ TEST_F(MultiRangeSearchTest, EarlyTermination) {
                              return n < 7;
                            }));
   EXPECT_EQ(n, 7);
+}
+
+// The leaf level scans each leaf once against its range slice. On v1 and
+// v2 trees over the same records, SearchRanges yields the same sequence
+// as one descent per range (SearchRangesNaive), in key order, and a
+// callback stop after k records yields exactly the first k.
+TEST_F(MultiRangeSearchTest, LeafScanMatchesNaiveOnBothEncodingsAndStops) {
+  using btree_internal::LeafEncoding;
+  using Seq = std::vector<std::pair<uint64_t, ObjectId>>;
+  for (LeafEncoding enc : {LeafEncoding::kV1, LeafEncoding::kV2}) {
+    btree_internal::SetDefaultLeafEncoding(enc);
+    inserted_.clear();
+    BTree t = MakeFilled(8000, 40000, /*seed=*/17);
+    btree_internal::SetDefaultLeafEncoding(LeafEncoding::kV2);
+    Random rng(18);
+    for (int trial = 0; trial < 40; ++trial) {
+      auto ranges = RandomDisjointRanges(&rng, 1 + trial % 10, 40000);
+      if (ranges.empty()) continue;
+      Seq fused, naive;
+      ASSERT_OK(t.SearchRanges(ranges, [&](const BTreeRecord& r) {
+        fused.emplace_back(r.key, r.entry.oid);
+        return true;
+      }));
+      ASSERT_OK(t.SearchRangesNaive(ranges, [&](const BTreeRecord& r) {
+        naive.emplace_back(r.key, r.entry.oid);
+        return true;
+      }));
+      ASSERT_EQ(fused, naive) << "trial " << trial;
+      if (fused.empty()) continue;
+
+      const size_t k = 1 + rng.Uniform(fused.size());
+      Seq stopped;
+      ASSERT_OK(t.SearchRanges(ranges, [&](const BTreeRecord& r) {
+        stopped.emplace_back(r.key, r.entry.oid);
+        return stopped.size() < k;
+      }));
+      ASSERT_EQ(stopped, Seq(fused.begin(), fused.begin() + k));
+    }
+  }
 }
 
 }  // namespace

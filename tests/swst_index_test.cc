@@ -344,14 +344,15 @@ TEST_F(SwstIndexTest, MalformedQueriesRejected) {
 }
 
 TEST_F(SwstIndexTest, StatisticsMemoryBounded) {
-  SwstOptions o;  // Paper defaults: 400 cells, Sp=201, 21 d-slots.
+  SwstOptions o;  // Paper defaults: 400 cells, Sp=201, Dp=20.
   auto idx = Make(o);
   // The paper reports ~25 MB of statistical state at these settings; our
-  // per-temporal-cell stat is 12 bytes, so the memo is 3,376,800 x 12 B
-  // (40.5 MB) plus a small tree directory. The key check: it does not
-  // grow with data size.
+  // per-temporal-cell stat is 10 bytes and the memo keeps no slot for the
+  // current-entry d-partition, so it is 3,216,000 x 10 B (32.16 MB) plus a
+  // small tree directory. The key check: it does not grow with data size.
   const size_t before = idx->StatisticsMemoryUsage();
-  const size_t memo_bytes = 400ull * 2 * 201 * 21 * 12;
+  const size_t memo_bytes = 400ull * 2 * 201 * 20 * 10;
+  EXPECT_EQ(memo_bytes, 32160000u);
   EXPECT_GE(before, memo_bytes);
   EXPECT_LT(before, memo_bytes + 400 * 64);
   Random rng(48);

@@ -3,6 +3,8 @@
 #include <filesystem>
 #include <set>
 
+#include "btree/btree_node.h"
+#include "btree/leaf_codec.h"
 #include "common/random.h"
 #include "swst/swst_index.h"
 #include "tests/test_util.h"
@@ -197,6 +199,54 @@ TEST_F(PersistenceTest, MemoRebuiltOnOpenPrunesLikeBefore) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
   EXPECT_EQ(stats.candidates, 0u);
+}
+
+// Trees hold closed entries only, and the memo has no d-slot for a
+// current one. A tree that yields a current entry on Open is corrupt: the
+// memo rebuild must say so, naming the cell, slot and root page, instead
+// of writing past the column.
+TEST_F(PersistenceTest, OpenRejectsCurrentEntryInTree) {
+  const SwstOptions o = SmallOptions();
+  auto pager = Pager::OpenMemory();
+  BufferPool pool(pager.get(), 512);
+  PageId meta = kInvalidPageId;
+  // v1 leaves keep records raw on the page, so one can be patched.
+  btree_internal::SetDefaultLeafEncoding(btree_internal::LeafEncoding::kV1);
+  {
+    auto idx = SwstIndex::Create(&pool, o);
+    ASSERT_OK(idx.status());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK((*idx)->Insert(MakeEntry(i, 10 + i, 10, 10 + i, 5)));
+    }
+    ASSERT_OK((*idx)->Save(&meta));
+  }
+  btree_internal::SetDefaultLeafEncoding(btree_internal::LeafEncoding::kV2);
+
+  // Twenty entries of one cell and epoch: a single-leaf tree, so the leaf
+  // is the root of cell 0's slot-0 tree.
+  PageId leaf = kInvalidPageId;
+  for (PageId id = kInvalidPageId + 1; id < pager->page_count(); ++id) {
+    auto page = pool.Fetch(id);
+    ASSERT_OK(page.status());
+    auto* node = page->As<btree_internal::LeafNode>();
+    if (node->header.type != btree_internal::kLeafType ||
+        node->header.count != 20) {
+      continue;
+    }
+    node->records[3].entry.duration = kUnknownDuration;
+    page->MarkDirty();
+    leaf = id;
+    break;
+  }
+  ASSERT_NE(leaf, kInvalidPageId);
+
+  auto idx = SwstIndex::Open(&pool, o, meta);
+  ASSERT_FALSE(idx.ok());
+  EXPECT_TRUE(idx.status().IsCorruption());
+  const std::string msg = idx.status().ToString();
+  EXPECT_NE(msg.find("cell 0 slot 0 (root page " + std::to_string(leaf) + ")"),
+            std::string::npos)
+      << msg;
 }
 
 }  // namespace
