@@ -9,6 +9,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "obs/flight_recorder.h"
 #include "obs/slow_query_log.h"
@@ -110,8 +111,9 @@ void SwstIndex::RegisterMetrics() {
                                              "Wall microseconds per query");
   m_query_node_accesses_ = r->RegisterHistogram(
       "swst_index_query_node_accesses", "Node accesses per query");
-  m_batch_records_ = r->RegisterHistogram("swst_index_batch_records",
-                                          "Entries per InsertBatch call");
+  m_batch_records_ = r->RegisterHistogram(
+      "swst_index_batch_records",
+      "Entries per InsertBatch call (a single Insert is a batch of one)");
   m_shard_lock_wait_us_ = r->RegisterHistogram(
       "swst_index_shard_lock_wait_us",
       "Writer-path wait for an exclusive shard lock (us; queries are "
@@ -212,22 +214,6 @@ Status SwstIndex::SyncWal() {
   return wal_->Sync();
 }
 
-Status SwstIndex::ValidateInsert(const Entry& entry) const {
-  if (!entry.is_current() &&
-      (entry.duration == 0 || entry.duration > options_.max_duration)) {
-    return Status::InvalidArgument("Insert: duration outside [1, Dmax]");
-  }
-  // Project the clock bump InsertLocked will make and run its window check.
-  const Timestamp clock = std::max(now(), entry.start);
-  const Timestamp aligned = (clock / options_.slide) * options_.slide;
-  const Timestamp win_lo =
-      (aligned >= options_.window_size) ? aligned - options_.window_size : 0;
-  if (entry.start < win_lo) {
-    return Status::InvalidArgument("Insert: entry already expired");
-  }
-  return Status::OK();
-}
-
 void SwstIndex::BumpClock(Timestamp t) {
   Timestamp cur = now_.load(std::memory_order_relaxed);
   while (t > cur &&
@@ -236,15 +222,30 @@ void SwstIndex::BumpClock(Timestamp t) {
   }
 }
 
+Timestamp SwstIndex::WindowLo(Timestamp clock, Timestamp length) const {
+  const Timestamp aligned = (clock / options_.slide) * options_.slide;
+  return (aligned >= length) ? aligned - length : 0;
+}
+
+Status SwstIndex::Accept(const Entry& entry, Timestamp* clock) const {
+  if (!entry.is_current() &&
+      (entry.duration == 0 || entry.duration > options_.max_duration)) {
+    return Status::InvalidArgument("Insert: duration outside [1, Dmax]");
+  }
+  // Judged against the clock this write leaves behind.
+  const Timestamp next = std::max(*clock, entry.start);
+  if (entry.start < WindowLo(next, options_.window_size)) {
+    return Status::InvalidArgument("Insert: entry already expired");
+  }
+  *clock = next;
+  return Status::OK();
+}
+
 TimeInterval SwstIndex::QueriablePeriod(Timestamp logical_window) const {
   Timestamp w = options_.window_size;
   if (logical_window != 0) w = std::min(w, logical_window);
   const Timestamp tau = now();
-  const Timestamp aligned = (tau / options_.slide) * options_.slide;
-  TimeInterval t;
-  t.lo = (aligned >= w) ? aligned - w : 0;
-  t.hi = tau;
-  return t;
+  return TimeInterval{WindowLo(tau, w), tau};
 }
 
 uint64_t SwstIndex::KeyFor(const Entry& entry, uint32_t cell) const {
@@ -299,6 +300,7 @@ Status SwstIndex::PrepareTree(Shard& shard, uint32_t cell, uint64_t epoch,
   const int slot = static_cast<int>(epoch % 2);
   if (ct.root[slot] != kInvalidPageId) {
     if (ct.epoch[slot] == epoch) return Status::OK();
+    assert(ct.epoch[slot] < epoch);  // ApplyGroup skips a newer slot.
     // The slot holds a fully expired epoch (epoch - 2 or older): drop it
     // wholesale — this is SWST's entire deletion cost for a window's data.
     // In COW mode Drop retires the pages instead of freeing them: readers
@@ -383,71 +385,7 @@ Status SwstIndex::Advance(Timestamp t) {
 }
 
 Status SwstIndex::Insert(const Entry& entry) {
-  SWST_RETURN_IF_ERROR(InsertUnsynced(entry));
-  return SyncWal();
-}
-
-Status SwstIndex::InsertUnsynced(const Entry& entry) {
-  if (!grid_.Contains(entry.pos)) {
-    return Status::InvalidArgument("Insert: position outside spatial domain");
-  }
-  const uint32_t cell = grid_.CellOf(entry.pos);
-  Shard& shard = ShardFor(cell);
-  std::shared_lock<std::shared_mutex> ckpt(checkpoint_mu_);
-  auto lock = LockShard(shard);
-  if (wal_ != nullptr && !replaying_) {
-    // Log-before-data, but only for entries that will be accepted — a
-    // rejected insert must leave no record (the pre-validation mirrors
-    // InsertLocked's decision exactly).
-    SWST_RETURN_IF_ERROR(ValidateInsert(entry));
-    SWST_RETURN_IF_ERROR(LogOp(WalRecordType::kInsert, &entry, sizeof(Entry)));
-  }
-  std::vector<PageId> retired;
-  SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, entry, &retired));
-  PublishShard(shard, std::move(retired));
-  return Status::OK();
-}
-
-Status SwstIndex::InsertLocked(Shard& shard, uint32_t cell,
-                               const Entry& entry,
-                               std::vector<PageId>* retired) {
-  if (!entry.is_current() &&
-      (entry.duration == 0 || entry.duration > options_.max_duration)) {
-    return Status::InvalidArgument("Insert: duration outside [1, Dmax]");
-  }
-  BumpClock(entry.start);
-  const TimeInterval win = QueriablePeriod();
-  if (entry.start < win.lo) {
-    return Status::InvalidArgument("Insert: entry already expired");
-  }
-
-  const uint64_t epoch = codec_.Epoch(entry.start);
-  if (entry.is_current()) {
-    // Hot tier: current entries live in memory only — no tree, no memo,
-    // zero page I/O. They reach the disk tier when CloseCurrent migrates
-    // them (or never, if they expire first).
-    shard.live.Insert(cell - shard.cell_begin, KeyFor(entry, cell), epoch,
-                      entry);
-    live_entries_.fetch_add(1, std::memory_order_relaxed);
-    if (m_inserts_ != nullptr) m_inserts_->Increment();
-    return Status::OK();
-  }
-  SWST_RETURN_IF_ERROR(PrepareTree(shard, cell, epoch, retired));
-
-  const int slot = static_cast<int>(epoch % 2);
-  CellTrees& ct = CellIn(shard, cell);
-  BTree tree = BTree::AttachCow(pool_, ct.root[slot], retired);
-  SWST_RETURN_IF_ERROR(tree.Insert(KeyFor(entry, cell), entry));
-  ct.root[slot] = tree.root();
-  shard.max_closed_end =
-      std::max(shard.max_closed_end, entry.start + entry.duration);
-
-  shard.memo.Add(cell - shard.cell_begin, slot,
-                 codec_.LocalColumn(entry.start),
-                 codec_.DPartition(entry.duration), entry.pos,
-                 shard.version + 1);
-  if (m_inserts_ != nullptr) m_inserts_->Increment();
-  return Status::OK();
+  return InsertBatch(&entry, 1);
 }
 
 Status SwstIndex::InsertBatch(const std::vector<Entry>& entries) {
@@ -455,41 +393,31 @@ Status SwstIndex::InsertBatch(const std::vector<Entry>& entries) {
 }
 
 Status SwstIndex::InsertBatch(const Entry* entries, size_t n) {
+  SWST_RETURN_IF_ERROR(InsertBatchUnsynced(entries, n));
+  return SyncWal();
+}
+
+Status SwstIndex::InsertBatchUnsynced(const Entry* entries, size_t n) {
   if (n == 0) return Status::OK();
   std::shared_lock<std::shared_mutex> ckpt(checkpoint_mu_);
 
-  // Validation pass in arrival order against a running clock — exactly the
-  // accept/reject decisions a serial Insert loop would make (each Insert
-  // bumps the clock before its window check). Keys are computed once here
-  // and reused by the tree inserts and the memo grouping below.
-  struct Item {
-    uint32_t cell;
-    uint64_t epoch;
-    uint64_t key;
-    uint32_t index;  ///< Arrival position in `entries`.
-  };
-  std::vector<Item> items;
-  items.reserve(n);
+  // Validation pass in arrival order against a running clock: entry i is
+  // judged by the clock entries 0..i-1 leave behind, exactly as if each
+  // were written on its own. Keys are computed once here and reused by the
+  // tree inserts and the memo grouping below. Reused per thread, so a
+  // batch of one allocates no routing buffer.
+  thread_local std::vector<WriteItem> items;
+  items.clear();
   Timestamp clock = now();
   for (size_t i = 0; i < n; ++i) {
     const Entry& e = entries[i];
     if (!grid_.Contains(e.pos)) {
       return Status::InvalidArgument("Insert: position outside spatial domain");
     }
-    if (!e.is_current() &&
-        (e.duration == 0 || e.duration > options_.max_duration)) {
-      return Status::InvalidArgument("Insert: duration outside [1, Dmax]");
-    }
-    clock = std::max(clock, e.start);
-    const Timestamp aligned = (clock / options_.slide) * options_.slide;
-    const Timestamp win_lo =
-        (aligned >= options_.window_size) ? aligned - options_.window_size : 0;
-    if (e.start < win_lo) {
-      return Status::InvalidArgument("Insert: entry already expired");
-    }
+    SWST_RETURN_IF_ERROR(Accept(e, &clock));
     const uint32_t cell = grid_.CellOf(e.pos);
-    items.push_back(Item{cell, codec_.Epoch(e.start), KeyFor(e, cell),
-                         static_cast<uint32_t>(i)});
+    items.push_back(WriteItem{cell, codec_.Epoch(e.start), KeyFor(e, cell),
+                              static_cast<uint32_t>(i)});
   }
   BumpClock(clock);
 
@@ -497,28 +425,25 @@ Status SwstIndex::InsertBatch(const Entry* entries, size_t n) {
     // Group commit: every entry is logged up front (validation passed, so
     // all will be accepted), then ONE sync covers the whole batch at the
     // end. Records go in *arrival* order, not the sorted apply order below
-    // — redo replays them through serial `Insert`, whose running-clock
-    // window check only reproduces the batch's accept decisions when it
-    // sees the same order the batch validated in.
+    // — redo replays each as a batch of one, whose running-clock window
+    // check only reproduces the batch's accept decisions when it sees the
+    // same order the batch validated in.
     for (size_t j = 0; j < n; ++j) {
       SWST_RETURN_IF_ERROR(
           LogOp(WalRecordType::kInsert, &entries[j], sizeof(Entry)));
     }
   }
 
-  // Group by (spatial cell, epoch) and sort each group's records by key.
-  // Stable, so equal keys keep arrival order — the order serial Insert
-  // produces by appending equal keys after existing ones. Cells ascend,
-  // so shards are visited in ascending order, each locked exactly once.
-  std::stable_sort(items.begin(), items.end(),
-                   [](const Item& a, const Item& b) {
-                     if (a.cell != b.cell) return a.cell < b.cell;
-                     if (a.epoch != b.epoch) return a.epoch < b.epoch;
-                     return a.key < b.key;
-                   });
+  // Group by (spatial cell, epoch) and sort each group's records by key,
+  // equal keys in arrival order — the order one-at-a-time inserts produce
+  // by appending equal keys after existing ones. Cells ascend, so shards
+  // are visited in ascending order, each locked exactly once.
+  std::sort(items.begin(), items.end(),
+            [](const WriteItem& a, const WriteItem& b) {
+              return std::tie(a.cell, a.epoch, a.key, a.index) <
+                     std::tie(b.cell, b.epoch, b.key, b.index);
+            });
 
-  std::vector<BTreeRecord> recs;
-  std::vector<Point> run_pts;
   std::vector<PageId> retired;
   size_t i = 0;
   while (i < n) {
@@ -526,70 +451,13 @@ Status SwstIndex::InsertBatch(const Entry* entries, size_t n) {
     retired.clear();
     auto lock = LockShard(shard);
     while (i < n && &ShardFor(items[i].cell) == &shard) {
-      const uint32_t cell = items[i].cell;
-      const uint64_t epoch = items[i].epoch;
       size_t g = i;
-      while (g < n && items[g].cell == cell && items[g].epoch == epoch) ++g;
-
-      const uint32_t local_cell = cell - shard.cell_begin;
-      // Closed entries go to the group's B+ tree; current entries go to
-      // the live tier (key-sorted stable order reproduces the bucket a
-      // serial Insert loop would build).
-      recs.clear();
-      recs.reserve(g - i);
-      for (size_t j = i; j < g; ++j) {
-        const Entry& e = entries[items[j].index];
-        if (e.is_current()) continue;
-        recs.push_back(BTreeRecord{items[j].key, e});
-        shard.max_closed_end =
-            std::max(shard.max_closed_end, e.start + e.duration);
+      while (g < n && items[g].cell == items[i].cell &&
+             items[g].epoch == items[i].epoch) {
+        ++g;
       }
-      const int slot = static_cast<int>(epoch % 2);
-      if (!recs.empty()) {
-        // Current-only groups skip the tree entirely (a stale tree in the
-        // slot survives until a closed insert or Advance drops it; queries
-        // filter by epoch, so it is invisible either way).
-        SWST_RETURN_IF_ERROR(PrepareTree(shard, cell, epoch, &retired));
-        CellTrees& ct = CellIn(shard, cell);
-        BTree tree = BTree::AttachCow(pool_, ct.root[slot], &retired);
-        SWST_RETURN_IF_ERROR(tree.InsertBatch(recs));
-        ct.root[slot] = tree.root();
-      }
-
-      // The key sort clusters each temporal cell (s-partition column and
-      // d-partition occupy the key's high bits), so the memo takes one
-      // AddN per consecutive run instead of one update per point. Current
-      // entries occupy the reserved top d-partition, so they form their
-      // own runs — routed to the live tier instead of the memo.
-      for (size_t r = i; r < g;) {
-        const Entry& first = entries[items[r].index];
-        const uint32_t column = codec_.LocalColumn(first.start);
-        const uint32_t dp = codec_.DPartition(first.duration);
-        size_t r2 = r;
-        if (first.is_current()) {
-          for (; r2 < g; ++r2) {
-            const Entry& e = entries[items[r2].index];
-            if (!e.is_current() || codec_.LocalColumn(e.start) != column) {
-              break;
-            }
-            shard.live.Insert(local_cell, items[r2].key, epoch, e);
-          }
-          live_entries_.fetch_add(r2 - r, std::memory_order_relaxed);
-        } else {
-          run_pts.clear();
-          for (; r2 < g; ++r2) {
-            const Entry& e = entries[items[r2].index];
-            if (codec_.LocalColumn(e.start) != column ||
-                codec_.DPartition(e.duration) != dp) {
-              break;
-            }
-            run_pts.push_back(e.pos);
-          }
-          shard.memo.AddN(local_cell, slot, column, dp, run_pts.data(),
-                          run_pts.size(), shard.version + 1);
-        }
-        r = r2;
-      }
+      SWST_RETURN_IF_ERROR(
+          ApplyGroup(shard, &items[i], g - i, entries, &retired));
       i = g;
     }
     // One publish per touched shard: the whole slice of the batch that
@@ -600,7 +468,81 @@ Status SwstIndex::InsertBatch(const Entry* entries, size_t n) {
     m_inserts_->Increment(n);
     m_batch_records_->Record(n);
   }
-  return SyncWal();
+  return Status::OK();
+}
+
+Status SwstIndex::ApplyGroup(Shard& shard, const WriteItem* items, size_t n,
+                             const Entry* entries,
+                             std::vector<PageId>* retired) {
+  const uint32_t cell = items[0].cell;
+  const uint64_t epoch = items[0].epoch;
+  const int slot = static_cast<int>(epoch % 2);
+  CellTrees& ct = CellIn(shard, cell);
+  if (ct.root[slot] != kInvalidPageId && ct.epoch[slot] > epoch) {
+    // The slot holds epoch k+2 or later, so the clock reached (k+2)*E
+    // after this group was validated: it expired concurrently. Only an
+    // older tree may be dropped (paper §IV-C) — dropping this one would
+    // lose acked writes. Redo agrees either way (docs/durability.md).
+    return Status::OK();
+  }
+
+  // Reused per thread, so a group allocates no scratch buffers.
+  thread_local std::vector<BTreeRecord> recs;
+  thread_local std::vector<Point> run_pts;
+  // Closed entries go to the group's B+ tree; current entries go to the
+  // live tier (key-sorted order reproduces the bucket one-at-a-time
+  // inserts would build).
+  recs.clear();
+  for (size_t j = 0; j < n; ++j) {
+    const Entry& e = entries[items[j].index];
+    if (e.is_current()) continue;
+    recs.push_back(BTreeRecord{items[j].key, e});
+    shard.max_closed_end = std::max(shard.max_closed_end, e.end());
+  }
+  if (!recs.empty()) {
+    // Current-only groups skip the tree entirely (a stale tree in the
+    // slot survives until a closed insert or Advance drops it; queries
+    // filter by epoch, so it is invisible either way).
+    SWST_RETURN_IF_ERROR(PrepareTree(shard, cell, epoch, retired));
+    BTree tree = BTree::AttachCow(pool_, ct.root[slot], retired);
+    SWST_RETURN_IF_ERROR(tree.InsertBatch(recs));
+    ct.root[slot] = tree.root();
+  }
+
+  // The key sort clusters each temporal cell (s-partition column and
+  // d-partition occupy the key's high bits), so the memo takes one AddN
+  // per consecutive run instead of one update per point. Current entries
+  // occupy the reserved top d-partition, so they form their own runs —
+  // routed to the live tier instead of the memo.
+  const uint32_t local_cell = cell - shard.cell_begin;
+  for (size_t r = 0; r < n;) {
+    const Entry& first = entries[items[r].index];
+    const uint32_t column = codec_.LocalColumn(first.start);
+    const uint32_t dp = codec_.DPartition(first.duration);
+    size_t r2 = r;
+    if (first.is_current()) {
+      for (; r2 < n; ++r2) {
+        const Entry& e = entries[items[r2].index];
+        if (!e.is_current() || codec_.LocalColumn(e.start) != column) break;
+        shard.live.Insert(local_cell, items[r2].key, epoch, e);
+      }
+      live_entries_.fetch_add(r2 - r, std::memory_order_relaxed);
+    } else {
+      run_pts.clear();
+      for (; r2 < n; ++r2) {
+        const Entry& e = entries[items[r2].index];
+        if (codec_.LocalColumn(e.start) != column ||
+            codec_.DPartition(e.duration) != dp) {
+          break;
+        }
+        run_pts.push_back(e.pos);
+      }
+      shard.memo.AddN(local_cell, slot, column, dp, run_pts.data(),
+                      run_pts.size(), shard.version + 1);
+    }
+    r = r2;
+  }
+  return Status::OK();
 }
 
 Status SwstIndex::Delete(const Entry& entry) {
@@ -664,9 +606,6 @@ Status SwstIndex::CloseCurrentUnsynced(const Entry& current,
   if (!current.is_current()) {
     return Status::InvalidArgument("CloseCurrent: entry is already closed");
   }
-  if (actual == 0 || actual > options_.max_duration) {
-    return Status::InvalidArgument("CloseCurrent: duration outside [1, Dmax]");
-  }
   if (!grid_.Contains(current.pos)) {
     return Status::InvalidArgument(
         "CloseCurrent: position outside spatial domain");
@@ -694,21 +633,25 @@ Status SwstIndex::CloseCurrentUnsynced(const Entry& current,
   }
   Entry closed = current;
   closed.duration = actual;
-  // Validate the closed entry *before* logging or mutating: a rejected
-  // close (e.g. the re-insert would fall outside the window) leaves no
-  // WAL record and no state change at all.
-  SWST_RETURN_IF_ERROR(ValidateInsert(closed));
+  // Accept the closed entry *before* logging or mutating: a rejected
+  // close (a duration outside [1, Dmax], or a re-insert that would fall
+  // outside the window) leaves no WAL record and no state change at all.
+  Timestamp clock = now();
+  SWST_RETURN_IF_ERROR(Accept(closed, &clock));
   if (wal_ != nullptr && !replaying_) {
     const WalClosePayload payload{current, actual};
     SWST_RETURN_IF_ERROR(
         LogOp(WalRecordType::kClose, &payload, sizeof(payload)));
   }
+  BumpClock(clock);
   std::vector<PageId> retired;
   // Tree insert first: if it fails (I/O), the live tier is untouched
   // and nothing publishes — the entry simply stays current.
-  SWST_RETURN_IF_ERROR(InsertLocked(shard, cell, closed, &retired));
+  const WriteItem item{cell, epoch, KeyFor(closed, cell), 0};
+  SWST_RETURN_IF_ERROR(ApplyGroup(shard, &item, 1, &closed, &retired));
   shard.live.Remove(local_cell, current.oid, current.start);
   live_entries_.fetch_sub(1, std::memory_order_relaxed);
+  if (m_inserts_ != nullptr) m_inserts_->Increment();
   if (m_deletes_ != nullptr) m_deletes_->Increment();
   if (m_live_migrations_ != nullptr) m_live_migrations_->Increment();
   obs::RecordEvent(obs::EventType::kCloseMigrate, current.oid,
@@ -724,11 +667,12 @@ Status SwstIndex::ReportPosition(ObjectId oid, const Point& pos, Timestamp t,
     return Status::InvalidArgument(
         "ReportPosition: timestamps must be increasing per object");
   }
-  // One commit point per report: the close and the insert are logged by
-  // their unsynced bodies and one sync covers both — the group commit
-  // InsertBatch uses. A crash can leave the close durable without the
-  // insert; the report was never acked, and retrying it is safe because a
-  // close that finds nothing open (NotFound) is tolerated here.
+  // One commit point per report: the close body and the batch body (for
+  // the one new current entry) log their records and one sync covers
+  // both — the group commit InsertBatch uses. A crash can leave the close
+  // durable without the insert; the report was never acked, and retrying
+  // it is safe because a close that finds nothing open (NotFound) is
+  // tolerated here.
   Status st;
   if (previous != nullptr && t - previous->start <= options_.max_duration) {
     st = CloseCurrentUnsynced(*previous, t - previous->start);
@@ -738,7 +682,7 @@ Status SwstIndex::ReportPosition(ObjectId oid, const Point& pos, Timestamp t,
   // entries, paper §V-A; the previous entry stays current until it
   // expires with its window.)
   const Entry cur{oid, pos, t, kUnknownDuration};
-  if (st.ok()) st = InsertUnsynced(cur);
+  if (st.ok()) st = InsertBatchUnsynced(&cur, 1);
   // Sync on every path, errors included, so a close whose insert then
   // failed is as durable as it was when both calls synced on their own.
   // With nothing appended this is a no-op.

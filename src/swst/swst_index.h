@@ -248,7 +248,8 @@ class SwstIndex {
   /// `SwstOptions::metrics` (if one was attached).
   ~SwstIndex();
 
-  /// Inserts an entry (closed or current). Advances the index clock to
+  /// Inserts an entry (closed or current): a batch of one, so it takes
+  /// exactly the `InsertBatch` path. Advances the index clock to
   /// `entry.start` if it is ahead. Requirements: the position lies in the
   /// spatial domain; a closed duration is in [1, Dmax]; the start timestamp
   /// is inside the current queriable period (not already expired).
@@ -258,20 +259,23 @@ class SwstIndex {
   /// and touch zero pages (see docs/swst_internals.md, "Two tiers").
   Status Insert(const Entry& entry);
 
-  /// Inserts a batch of entries with the exact end state a serial `Insert`
-  /// loop over `entries` (in order) would produce — the same tree contents
-  /// (including duplicate-key order), the same memo statistics, and the
-  /// same clock — but with the group-insert pipeline: keys are computed
-  /// once, entries are grouped by (spatial cell, epoch) and sorted by key,
-  /// each group lands in its tree through `BTree::InsertBatch` (one descent
-  /// per leaf run), and the memo is updated once per temporal cell.
+  /// Inserts a batch of entries with the exact end state a loop of
+  /// one-entry batches over `entries` (in order) would produce — the same
+  /// tree contents (including duplicate-key order), the same memo
+  /// statistics, and the same clock — through the group-insert pipeline:
+  /// keys are computed once, entries are grouped by (spatial cell, epoch)
+  /// and sorted by key, each group lands in its tree through
+  /// `BTree::InsertBatch` (one descent per leaf run), and the memo is
+  /// updated once per temporal cell. This is the index's only insert path.
   ///
-  /// Validation (domain, duration, expiry against a running clock — the
-  /// decisions the serial loop would make) runs up front: if any entry is
-  /// invalid, its `InvalidArgument` is returned and *nothing* is inserted,
-  /// unlike the serial loop which stops mid-way. I/O errors can still
-  /// leave a prefix of the groups applied, exactly like an aborted loop.
-  /// Each touched shard is locked exclusively once, in ascending order.
+  /// Validation (domain, then `Accept` against a running clock) runs up
+  /// front: if any entry is invalid, its `InvalidArgument` is returned and
+  /// *nothing* is inserted or logged, unlike a loop which stops mid-way.
+  /// I/O errors can still leave a prefix of the groups applied, exactly
+  /// like an aborted loop. Each touched shard is locked exclusively once,
+  /// in ascending order. A group whose epoch expired concurrently (its
+  /// tree slot already holds a newer epoch) is skipped, never applied over
+  /// the newer tree — see docs/write_path.md.
   Status InsertBatch(const Entry* entries, size_t n);
   Status InsertBatch(const std::vector<Entry>& entries);
 
@@ -285,17 +289,19 @@ class SwstIndex {
   /// `actual`, in one atomic publish. If the entry's epoch has already
   /// expired out of the window, this is a no-op; NotFound if the entry is
   /// in a live epoch but was never inserted (or was already closed).
-  /// InvalidArgument if the position is outside the spatial domain, the
-  /// duration is invalid, or the closed entry would fall outside the
-  /// window.
+  /// InvalidArgument if the position is outside the spatial domain, or if
+  /// `Accept` rejects the closed entry (duration outside [1, Dmax], or
+  /// outside the window). The tree insert is the batch pipeline's group
+  /// apply with one record.
   Status CloseCurrent(const Entry& current, Duration actual);
 
   /// Streaming convenience: report that `oid` is at `pos` from time `t`
   /// on. If `previous` is non-null it must be the object's still-open
   /// previous entry; it is closed with duration `t - previous->start`.
   /// Returns the new current entry through `out_current` if non-null.
-  /// With a WAL attached, the close and the insert are one group commit
-  /// (one sync); on failure the same report may simply be retried (see
+  /// Runs the `CloseCurrent` body, then the `InsertBatch` body for the new
+  /// current entry; with a WAL attached, both are one group commit (one
+  /// sync). On failure the same report may simply be retried (see
   /// docs/durability.md).
   Status ReportPosition(ObjectId oid, const Point& pos, Timestamp t,
                         const Entry* previous, Entry* out_current = nullptr);
@@ -505,6 +511,16 @@ class SwstIndex {
   /// Monotonically advances the clock (lock-free CAS max).
   void BumpClock(Timestamp t);
 
+  /// Lower bound of the slide-aligned window of length `length` ending at
+  /// `clock` (paper §III-A: tau' = floor(tau / slide) * slide - W).
+  Timestamp WindowLo(Timestamp clock, Timestamp length) const;
+
+  /// The one accept/reject decision for a written entry (domain checks
+  /// aside): a closed duration must lie in [1, Dmax], then the start must
+  /// not precede the window of the running clock `*clock` advanced to it.
+  /// On accept `*clock` is advanced; on reject nothing changes.
+  Status Accept(const Entry& entry, Timestamp* clock) const;
+
   /// \name Write-ahead logging (all no-ops when `wal_` is null or during
   /// replay).
   /// @{
@@ -518,16 +534,12 @@ class SwstIndex {
   /// commit point). Called after the shard locks are released.
   Status SyncWal();
 
-  /// Unsynced bodies of `Insert` and `CloseCurrent`: validate, log, apply,
-  /// publish — everything but the commit point. Each public call is its
-  /// body plus `SyncWal()`; `ReportPosition` runs both bodies under one.
-  Status InsertUnsynced(const Entry& entry);
+  /// Unsynced bodies of `InsertBatch` and `CloseCurrent`: validate, log,
+  /// apply, publish — everything but the commit point. Each public call is
+  /// its body plus `SyncWal()`; `ReportPosition` runs both bodies under
+  /// one.
+  Status InsertBatchUnsynced(const Entry* entries, size_t n);
   Status CloseCurrentUnsynced(const Entry& current, Duration actual);
-
-  /// The pre-apply validation `Insert` needs before it may log: the exact
-  /// accept/reject decision `InsertLocked` will make, computed without
-  /// mutating anything (the clock bump is projected).
-  Status ValidateInsert(const Entry& entry) const;
 
   /// Redo pass of `Recover`: replays `wal_` from the watermark with
   /// logging suppressed. Benign per-record failures (InvalidArgument /
@@ -554,17 +566,34 @@ class SwstIndex {
   /// were never freed.
   void PublishShard(Shard& shard, std::vector<PageId> retired);
 
+  /// An accepted entry of a write, routed: its spatial cell, epoch and
+  /// key, and its position in the caller's entry array.
+  struct WriteItem {
+    uint32_t cell;
+    uint64_t epoch;
+    uint64_t key;
+    uint32_t index;
+  };
+
   /// \name Shard-local operations; caller holds `shard.mu` exclusively,
   /// collects superseded pages into `retired`, and publishes once on
   /// success.
   /// @{
-  Status InsertLocked(Shard& shard, uint32_t cell, const Entry& entry,
-                      std::vector<PageId>* retired);
+
+  /// Applies one (cell, epoch) group of accepted entries: `items[0..n)`
+  /// share a cell and an epoch, are sorted by key (ties in arrival order)
+  /// and index into `entries`. Closed entries go to the slot's tree in one
+  /// `BTree::InsertBatch` (raising `max_closed_end`) and to the memo in
+  /// one `AddN` per temporal cell; current entries go to the live tier.
+  /// If the slot already holds a *newer* epoch, the group expired after it
+  /// was validated and is skipped whole — the newer tree is never dropped.
+  Status ApplyGroup(Shard& shard, const WriteItem* items, size_t n,
+                    const Entry* entries, std::vector<PageId>* retired);
   Status DeleteLocked(Shard& shard, uint32_t cell, const Entry& entry,
                       std::vector<PageId>* retired);
 
   /// Ensures the cell's slot holds a live tree for `epoch`, dropping a
-  /// stale tree first. Creates the tree lazily.
+  /// stale (older) tree first. Creates the tree lazily.
   Status PrepareTree(Shard& shard, uint32_t cell, uint64_t epoch,
                      std::vector<PageId>* retired);
 

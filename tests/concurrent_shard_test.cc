@@ -441,6 +441,74 @@ TEST(ConcurrentShardTest, OutOfDomainMutationsAreInvalidArgument) {
   EXPECT_TRUE(SwstIndex::Create(&pool, bad).status().IsInvalidArgument());
 }
 
+// A batch validated against an older clock must never drop a newer epoch's
+// tree. Thread A batch-inserts `x` (epoch 0) while thread B inserts `y`
+// (epoch 2, same cell, the slot `x` would use). If B's epoch-2 tree is
+// already in the slot when A applies, `x` expired concurrently and is
+// skipped; whenever B was acked, `y` must be queriable afterwards.
+TEST(ConcurrentShardTest, BatchNeverDropsNewerEpochTree) {
+  // The geometry of swst_batch_differential_test (E = 1260).
+  SwstOptions o;
+  o.space = Rect{{0, 0}, {1000, 1000}};
+  o.x_partitions = 4;
+  o.y_partitions = 4;
+  o.window_size = 1200;
+  o.slide = 60;
+  o.max_duration = 240;
+  o.duration_interval = 60;
+  o.zcurve_bits = 6;
+  const Timestamp epoch = o.epoch_length();
+  const Entry x{1, {10, 10}, 100, 5};
+  const Entry y{2, {11, 11}, 2 * epoch + 10, 5};
+
+  int lost = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    auto pager = Pager::OpenMemory();
+    BufferPool pool(pager.get(), 64);
+    auto idx_or = SwstIndex::Create(&pool, o);
+    ASSERT_TRUE(idx_or.ok());
+    SwstIndex& idx = **idx_or;
+
+    // A spinning start barrier releases both threads together; then one
+    // of them spins a skew that sweeps -20..20 steps across iterations, so
+    // the two writes meet at every relative offset the race needs.
+    const int skew = iter % 41 - 20;
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::atomic<int> spin{0};
+    Status sb;
+    auto start = [&](int steps) {
+      ready.fetch_add(1);
+      while (!go.load()) {
+      }
+      for (int s = 0; s < 4 * steps; ++s) {
+        spin.fetch_add(1, std::memory_order_relaxed);
+      }
+    };
+    std::thread a([&] {
+      start(std::max(skew, 0));
+      (void)idx.InsertBatch(&x, 1);
+    });
+    std::thread b([&] {
+      start(std::max(-skew, 0));
+      sb = idx.Insert(y);
+    });
+    while (ready.load() < 2) std::this_thread::yield();
+    go.store(true);
+    a.join();
+    b.join();
+    if (!sb.ok()) continue;
+
+    auto r = idx.IntervalQuery(o.space, idx.QueriablePeriod());
+    ASSERT_OK(r.status());
+    if (std::none_of(r->begin(), r->end(),
+                     [](const Entry& e) { return e.oid == 2; })) {
+      ++lost;
+    }
+  }
+  EXPECT_EQ(lost, 0);
+}
+
 // Hammer the striped buffer pool from many threads: page contents must
 // stay intact and the aggregated stats must cover every partition.
 TEST(ConcurrentShardTest, StripedPoolParallelFetchKeepsPagesIntact) {

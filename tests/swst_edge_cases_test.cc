@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "storage/wal.h"
 #include "swst/swst_index.h"
 #include "tests/test_util.h"
 
@@ -229,6 +234,105 @@ TEST_F(EdgeCaseTest, IntervalQueryCoveringEntireWindow) {
     if (s >= win.lo && s <= win.hi) expect++;
   }
   EXPECT_EQ(r->size(), expect);
+}
+
+// Every rejection reason, through every public write call, leaves no
+// trace: no WAL record appended, the clock unchanged, no entry added or
+// removed. A batch is all-or-nothing even when the bad entry sits between
+// good ones; the "running clock" rows are rejected only because an earlier
+// entry of the same batch moved the clock.
+TEST_F(EdgeCaseTest, RejectedWritesLeaveNoTrace) {
+  auto store = WalStore::OpenMemory();
+  auto wal = Wal::Open(store.get());
+  ASSERT_OK(wal.status());
+  SwstOptions o = SmallOptions();
+  o.wal = wal->get();
+  auto idx = Make(o);
+
+  // Clock 3000: the window is [2000, 3000], epoch 2 is current and epoch 1
+  // is still live, so `stale` (start 1500) has expired but stays in the
+  // live tier until an Advance drains its epoch.
+  const Entry stale = MakeEntry(1, 100, 100, 1500, kUnknownDuration);
+  const Entry open = MakeEntry(2, 200, 200, 2500, kUnknownDuration);
+  ASSERT_OK(idx->Insert(stale));
+  ASSERT_OK(idx->Insert(open));
+  ASSERT_OK(idx->Insert(MakeEntry(3, 300, 300, 2600, 50)));
+  ASSERT_OK(idx->Advance(3000));
+
+  const Entry ok_a = MakeEntry(10, 400, 400, 2950, 50);
+  const Entry ok_b = MakeEntry(11, 500, 500, 3100, 50);
+  const Entry ahead = MakeEntry(12, 600, 600, 4100, 50);  // Window [3100, ..].
+  const Entry outside = MakeEntry(13, 5000, 5000, 2950, 50);
+  const Entry zero = MakeEntry(14, 400, 400, 2950, 0);
+  const Entry too_long = MakeEntry(15, 400, 400, 2950, 201);
+  const Entry expired = MakeEntry(16, 400, 400, 1900, 50);
+  const Entry expired_by_batch = MakeEntry(17, 400, 400, 3000, 50);
+  Entry open_outside = open;
+  open_outside.pos = {5000, 5000};
+  Entry out;
+
+  struct Row {
+    std::string name;
+    std::function<Status()> op;
+  };
+  const std::vector<Row> rows = {
+      {"Insert/outside", [&] { return idx->Insert(outside); }},
+      {"Insert/duration0", [&] { return idx->Insert(zero); }},
+      {"Insert/duration>Dmax", [&] { return idx->Insert(too_long); }},
+      {"Insert/expired", [&] { return idx->Insert(expired); }},
+      {"InsertBatch/outside",
+       [&] { return idx->InsertBatch({ok_a, outside, ok_b}); }},
+      {"InsertBatch/duration0",
+       [&] { return idx->InsertBatch({ok_a, zero, ok_b}); }},
+      {"InsertBatch/duration>Dmax",
+       [&] { return idx->InsertBatch({ok_a, too_long, ok_b}); }},
+      {"InsertBatch/expired",
+       [&] { return idx->InsertBatch({ok_a, expired, ok_b}); }},
+      {"InsertBatch/expired-running-clock",
+       [&] { return idx->InsertBatch({ok_a, ahead, expired_by_batch}); }},
+      {"CloseCurrent/outside",
+       [&] { return idx->CloseCurrent(open_outside, 50); }},
+      {"CloseCurrent/duration0", [&] { return idx->CloseCurrent(open, 0); }},
+      {"CloseCurrent/duration>Dmax",
+       [&] { return idx->CloseCurrent(open, 201); }},
+      {"CloseCurrent/expired", [&] { return idx->CloseCurrent(stale, 50); }},
+      {"ReportPosition/outside",
+       [&] {
+         return idx->ReportPosition(20, {5000, 5000}, 2950, nullptr, &out);
+       }},
+      // A report's stay is t - previous->start: 0 is rejected up front (a
+      // stay over Dmax is not a rejection — the previous entry stays open).
+      {"ReportPosition/duration0",
+       [&] { return idx->ReportPosition(2, {210, 210}, 2500, &open, &out); }},
+      {"ReportPosition/expired",
+       [&] {
+         return idx->ReportPosition(20, {100, 100}, 1900, nullptr, &out);
+       }},
+      {"ReportPosition/expired-close",
+       [&] {
+         return idx->ReportPosition(1, {110, 110}, 1550, &stale, &out);
+       }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const Lsn lsn = (*wal)->last_lsn();
+    const Timestamp clock = idx->now();
+    auto before = idx->CountEntries();
+    ASSERT_OK(before.status());
+    EXPECT_TRUE(row.op().IsInvalidArgument());
+    EXPECT_EQ((*wal)->last_lsn(), lsn);
+    EXPECT_EQ(idx->now(), clock);
+    auto after = idx->CountEntries();
+    ASSERT_OK(after.status());
+    EXPECT_EQ(*after, *before);
+  }
+
+  // The same calls with valid arguments are accepted and logged.
+  const Lsn lsn = (*wal)->last_lsn();
+  ASSERT_OK(idx->InsertBatch({ok_a, ok_b}));
+  ASSERT_OK(idx->CloseCurrent(open, 50));
+  EXPECT_EQ((*wal)->last_lsn(), lsn + 3);
+  EXPECT_EQ(idx->now(), 3100u);
 }
 
 }  // namespace

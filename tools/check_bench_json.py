@@ -65,6 +65,14 @@ read path from regressing back to lock-based behavior:
     paired ratios keeps one scheduler hiccup from failing the run while a
     real slowdown, which lowers every pair, still does.
 
+The "fig7_insertion_io" bench gets an *exact* gate: its insertion I/O is
+deterministic (identical in io_uring and no-io-uring builds), so every
+"fig7" row (matched by "objects") must report the baseline's
+swst_insert_io and mv3r_insert_io, and every "write_path" result
+(matched by mode and batch_size) the baseline's pages_read and
+pages_written — no more, no fewer rows. A change that moves them must
+regenerate the baseline and explain the diff.
+
 The "wal_commit" bench gets the group-commit gate for position reports:
 the top-level "report" row must show fsyncs_per_report <= 1.0 — a
 ReportPosition (close + insert) is one acknowledgement and one commit.
@@ -345,6 +353,42 @@ def check_wal_commit_gates(cur, errors):
             f"a report's close and insert must share one group commit")
 
 
+# (list path, row identity keys, counters that must equal the baseline).
+FIG7_EXACT = (
+    ("fig7", ("objects",), ("swst_insert_io", "mv3r_insert_io")),
+    ("write_path.results", ("mode", "batch_size"),
+     ("pages_read", "pages_written")),
+)
+
+
+def check_fig7_gates(cur, base, errors):
+    """Exact counter gate for the fig7_insertion_io bench (see module doc)."""
+    for path, id_keys, exact in FIG7_EXACT:
+        rows = {}
+        for name, doc in (("current", cur), ("baseline", base)):
+            node = doc
+            for part in path.split("."):
+                node = node.get(part) if isinstance(node, dict) else None
+            if not isinstance(node, list):
+                errors.append(f"{path}: missing or not a list in {name}")
+                node = []
+            rows[name] = {tuple(r.get(k) for k in id_keys): r
+                          for r in node if isinstance(r, dict)}
+        for key, b in rows["baseline"].items():
+            c = rows["current"].get(key)
+            if c is None:
+                errors.append(f"{path} {key}: row missing")
+                continue
+            for field in exact:
+                if c.get(field) != b.get(field):
+                    errors.append(
+                        f"{path} {key}: {field} is {c.get(field)}, baseline "
+                        f"{b.get(field)} (deterministic; must match exactly)")
+        for key in sorted(rows["current"].keys() - rows["baseline"].keys(),
+                          key=str):
+            errors.append(f"{path} {key}: row absent in baseline")
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -378,6 +422,8 @@ def main(argv):
         check_window_maintenance_gates(cur, errors)
     if cur.get("bench") == "wal_commit":
         check_wal_commit_gates(cur, errors)
+    if cur.get("bench") == "fig7_insertion_io":
+        check_fig7_gates(cur, base, errors)
     cur = {k: v for k, v in cur.items() if k != "metrics"}
     base = {k: v for k, v in base.items() if k != "metrics"}
     compare(cur, base, "", errors)
