@@ -1,21 +1,19 @@
-// Storage-engine raw read speed: {v1, v2 leaf encoding} x {sync, async
-// io} over a file-backed B+ tree, cold buffer pool per query.
+// Storage-engine raw read speed: v1 vs v2 leaf encoding over a
+// file-backed B+ tree, cold buffer pool per query.
 //
-// The experiment isolates the two ISSUE mechanisms end to end:
-//
-//  - *Async reads*: every multi-range query knows a whole tree level up
-//    front, so its misses go to the backend as one submission. With
-//    io_uring available that is one syscall per level; the synchronous
-//    fallback pays one preadv per adjacent run. The bench reports real
-//    read syscalls per query (`Pager::read_syscalls`), and the checker
-//    gates async at >= 1.5x fewer than sync when a ring is available.
-//  - *Prefix compression*: v2 leaves pack 2x+ the records of the raw v1
-//    layout for Z-order-adjacent keys, so the same query set touches
-//    fewer leaf pages (`level_nodes` of SearchRanges); gated at >= 1.3x.
+// Every multi-range query knows a whole tree level up front, so its misses
+// go to the backend as one batch: one preadv per run of adjacent pages
+// (`Pager::SubmitReads`). The bench reports the real read syscalls per
+// query (`Pager::read_syscalls`), the leaf pages touched per query
+// (`level_nodes` of SearchRanges) and the node accesses. All of them are
+// deterministic, and the checker pins them, with each encoding's
+// result_hash, to the committed baseline exactly. Prefix compression is
+// gated too: v2 leaves pack 2x+ the records of the raw v1 layout for
+// Z-order-adjacent keys, so v1 must touch at least 1.3x the leaf pages.
 //
 // Every phase hashes its full result stream (keys, oids, starts, in
-// order); the bench aborts unless all four configurations produce the
-// identical hash — compression and async io must be invisible to results.
+// order); the bench aborts unless both encodings produce the identical
+// hash — compression must be invisible to results.
 //
 // Usage: bench_async_read [--smoke] [--json]
 //   --smoke    fewer records and queries (CI smoke test).
@@ -47,7 +45,6 @@ using btree_internal::SetDefaultLeafEncoding;
 
 struct Phase {
   const char* encoding = "";
-  const char* io = "";
   double wall_ms = 0;
   uint64_t read_syscalls = 0;
   double syscalls_per_query = 0;
@@ -124,9 +121,8 @@ Build BuildTree(LeafEncoding enc, const std::vector<BTreeRecord>& recs,
 }
 
 /// Runs the full query set against `build` with a cold pool per query
-/// (every page read is a real backend read) and async reads on or off.
-Phase RunPhase(const Build& build, const char* encoding, bool async,
-               uint64_t queries, uint64_t ranges_per_query,
+/// (every page read is a real backend read).
+Phase RunPhase(const Build& build, const char* encoding, uint64_t queries, uint64_t ranges_per_query,
                uint64_t key_lo, uint64_t key_hi) {
   auto pager_or = Pager::OpenFile(build.path.string(), /*truncate=*/false);
   if (!pager_or.ok()) {
@@ -135,11 +131,9 @@ Phase RunPhase(const Build& build, const char* encoding, bool async,
     std::abort();
   }
   auto pager = std::move(*pager_or);
-  pager->SetAsyncReads(async);
 
   Phase p;
   p.encoding = encoding;
-  p.io = async ? "async" : "sync";
   p.pages_compressed = build.pages_compressed;
   p.compression_saved_bytes = build.compression_saved_bytes;
   p.result_hash = 1469598103934665603ull;  // FNV offset basis.
@@ -206,21 +200,6 @@ Phase RunPhase(const Build& build, const char* encoding, bool async,
   return p;
 }
 
-bool ProbeUring(const Build& build) {
-  auto pager = Pager::OpenFile(build.path.string(), /*truncate=*/false);
-  if (!pager.ok()) return false;
-  std::vector<char> bufs(2 * kPageSize);
-  AsyncPageRead reqs[2];
-  reqs[0].id = build.root;
-  reqs[0].buf = bufs.data();
-  reqs[1].id = 1;
-  reqs[1].buf = bufs.data() + kPageSize;
-  auto batch = (*pager)->SubmitReads(reqs, 2);
-  const bool async = batch->async();
-  (void)batch->Await();
-  return async;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -241,27 +220,21 @@ int main(int argc, char** argv) {
 
   const Build v1 = BuildTree(LeafEncoding::kV1, recs, "v1");
   const Build v2 = BuildTree(LeafEncoding::kV2, recs, "v2");
-  const bool uring_available = ProbeUring(v1);
 
-  std::vector<Phase> phases;
-  for (const bool async : {false, true}) {
-    phases.push_back(RunPhase(v1, "v1", async, queries, ranges_per_query,
-                              key_lo, key_hi));
-    phases.push_back(RunPhase(v2, "v2", async, queries, ranges_per_query,
-                              key_lo, key_hi));
-  }
+  const std::vector<Phase> phases = {
+      RunPhase(v1, "v1", queries, ranges_per_query, key_lo, key_hi),
+      RunPhase(v2, "v2", queries, ranges_per_query, key_lo, key_hi)};
   std::filesystem::remove(v1.path);
   std::filesystem::remove(v2.path);
 
-  // Hard correctness gate: compression and async io must not change a
-  // single result, in content or order.
+  // Hard correctness gate: compression must not change a single result,
+  // in content or order.
   for (const Phase& p : phases) {
     if (p.result_hash != phases.front().result_hash) {
       std::fprintf(stderr,
-                   "result divergence: %s/%s hash %016llx != %s/%s %016llx\n",
-                   p.encoding, p.io,
-                   static_cast<unsigned long long>(p.result_hash),
-                   phases.front().encoding, phases.front().io,
+                   "result divergence: %s hash %016llx != %s %016llx\n",
+                   p.encoding, static_cast<unsigned long long>(p.result_hash),
+                   phases.front().encoding,
                    static_cast<unsigned long long>(phases.front().result_hash));
       std::abort();
     }
@@ -273,8 +246,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(queries));
   std::printf("  \"ranges_per_query\": %llu,\n",
               static_cast<unsigned long long>(ranges_per_query));
-  std::printf("  \"uring_available\": %s,\n",
-              uring_available ? "true" : "false");
   std::printf("  \"results\": [\n");
   for (size_t i = 0; i < phases.size(); ++i) {
     const Phase& p = phases[i];
@@ -282,12 +253,12 @@ int main(int argc, char** argv) {
     std::snprintf(hash, sizeof hash, "%016llx",
                   static_cast<unsigned long long>(p.result_hash));
     std::printf(
-        "    {\"encoding\": \"%s\", \"io\": \"%s\", \"wall_ms\": %.2f, "
+        "    {\"encoding\": \"%s\", \"wall_ms\": %.2f, "
         "\"read_syscalls\": %llu, \"syscalls_per_query\": %.2f, "
         "\"leaf_pages_per_query\": %.2f, \"node_accesses\": %llu, "
         "\"pages_compressed\": %llu, \"compression_saved_bytes\": %llu, "
         "\"result_hash\": \"%s\"}%s\n",
-        p.encoding, p.io, p.wall_ms,
+        p.encoding, p.wall_ms,
         static_cast<unsigned long long>(p.read_syscalls),
         p.syscalls_per_query, p.leaf_pages_per_query,
         static_cast<unsigned long long>(p.node_accesses),

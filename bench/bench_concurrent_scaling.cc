@@ -55,7 +55,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
-#include "obs/stats_dumper.h"
 
 namespace {
 
@@ -207,20 +206,6 @@ int main(int argc, char** argv) {
       MakeQueries(options.space, win, /*spatial_extent=*/0.01,
                   /*temporal_extent=*/0.10, /*count=*/256, /*seed=*/11);
 
-  // SWST_STATS_DUMP_MS=<ms> enables a periodic registry dump to stderr —
-  // handy for watching a long run converge without touching the JSON output.
-  std::unique_ptr<obs::StatsDumper> dumper;
-  if (const char* ms_env = std::getenv("SWST_STATS_DUMP_MS")) {
-    const long ms = std::strtol(ms_env, nullptr, 10);
-    if (ms > 0) {
-      dumper = std::make_unique<obs::StatsDumper>(
-          &registry, std::chrono::milliseconds(ms),
-          [](const std::string& json) {
-            std::fprintf(stderr, "stats: %s\n", json.c_str());
-          });
-    }
-  }
-
   // Registration is idempotent, so this returns the very histogram the
   // index records shard-lock waits into — its count() delta across a point
   // is the number of shard mutex acquisitions that point performed.
@@ -339,7 +324,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.pages_written),
                 (i + 1 < points.size()) ? "," : "");
   }
-  dumper.reset();  // Stop the periodic dump before the final snapshot.
   std::printf("  ],\n  \"metrics\": %s\n}\n", registry.RenderJson().c_str());
   return 0;
 }

@@ -31,9 +31,6 @@ void BTreeIterator::Seek(uint64_t key) {
 
 void BTreeIterator::DescendToLeaf(PageId node_id, uint64_t key,
                                   bool leftmost) {
-  // Reap any readahead still in flight so the descent's fetches (which may
-  // include pages of that batch) hit the pool instead of duplicating reads.
-  readahead_.Finish();
   PageId cur = node_id;
   std::vector<PageId> readahead;
   for (;;) {
@@ -53,10 +50,9 @@ void BTreeIterator::DescendToLeaf(PageId node_id, uint64_t key,
       if (!status_.ok()) return;
       leaf_loaded_ = cur;
       pos_ = leftmost ? 0 : LowerBoundRecord(leaf_recs_, key);
-      // Submit the sibling readahead asynchronously: the reads overlap
-      // the caller consuming this leaf's records and are reaped when the
-      // cursor steps to the next leaf.
-      if (!readahead.empty()) readahead_ = pool_->PrefetchAsync(readahead);
+      // Read the sibling leaves the cursor steps through next as one
+      // batch, so stepping to them hits the pool.
+      if (!readahead.empty()) pool_->Prefetch(readahead);
       return;
     }
     const auto* in = page->As<InternalNode>();
@@ -81,8 +77,7 @@ void BTreeIterator::LoadCurrent() {
   for (;;) {
     if (leaf_loaded_ != leaf_) {
       // Entering a leaf that is not decoded yet (only reachable if a Seek
-      // failed mid-way); reap pending reads, then fetch and decode.
-      readahead_.Finish();
+      // failed mid-way); fetch and decode.
       auto page = FetchNode(pool_, leaf_);
       if (!page.ok()) {
         status_ = page.status();

@@ -76,8 +76,6 @@ class BTreeIterator {
   /// Decoded records of `leaf_` (valid while `leaf_loaded_ == leaf_`).
   std::vector<BTreeRecord> leaf_recs_;
   PageId leaf_loaded_ = kInvalidPageId;
-  /// In-flight async readahead of upcoming sibling leaves.
-  AsyncPrefetch readahead_;
 };
 
 }  // namespace swst

@@ -55,24 +55,20 @@ Status BTree::SearchRanges(
     }
     // The whole level is known up front, in key order — at the leaf level
     // this is exactly the run of sibling leaves the query will read. All
-    // misses of the level go to the backend as one asynchronous batch (a
-    // single io_uring submission when available, vectored reads
-    // otherwise); the batch is awaited before the first fetch below, so
-    // the level's pages arrive with one syscall-bounded wait instead of
-    // one blocking read per miss. Prefetching does not count as a node
-    // access, keeping per-query `node_accesses` exact.
-    AsyncPrefetch prefetch;
+    // misses of the level go to the backend as one batch (one preadv per
+    // run of adjacent pages) instead of one blocking read per miss.
+    // Prefetching does not count as a node access, keeping per-query
+    // `node_accesses` exact.
     if (level.size() > 1) {
       prefetch_ids.clear();
       for (const WorkItem& item : level) prefetch_ids.push_back(item.node);
-      prefetch = pool_->PrefetchAsync(prefetch_ids);
+      pool_->Prefetch(prefetch_ids);
     }
     std::vector<WorkItem> next_level;
     bool is_leaf_level = false;
     if (level_nodes != nullptr) {
       level_nodes->push_back(static_cast<uint32_t>(level.size()));
     }
-    prefetch.Finish();  // Reap completions; the level is now pool-resident.
 
     std::vector<BTreeRecord> matches;
     for (const WorkItem& item : level) {

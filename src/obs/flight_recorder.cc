@@ -65,7 +65,6 @@ const char* EventTypeName(EventType t) {
     case EventType::kWalTruncate:     return "wal_truncate";
     case EventType::kRecoverReplay:   return "recover_replay";
     case EventType::kLeafMigrateV2:   return "leaf_migrate_v2";
-    case EventType::kUringFallback:   return "uring_fallback";
     case EventType::kFaultInjected:   return "fault_injected";
     case EventType::kSlowQuery:       return "slow_query";
     case EventType::kFatal:           return "fatal";

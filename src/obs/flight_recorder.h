@@ -26,7 +26,6 @@ enum class EventType : uint16_t {
   kWalTruncate,      ///< a0=truncation LSN bound, a1=segments deleted.
   kRecoverReplay,    ///< a0=replayed, a1=skipped, a2=last LSN, a3=torn tail.
   kLeafMigrateV2,    ///< a0=page id, a1=records, a2=payload bytes saved.
-  kUringFallback,    ///< a0=pages in the batch that fell back to preadv.
   kFaultInjected,    ///< a0=kind (see FaultKind), a1=operation ordinal.
   kSlowQuery,        ///< a0=latency us, a1=node accesses, a2=results.
   kFatal,            ///< a0=signal number (0 for a logical fatal error).

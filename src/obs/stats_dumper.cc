@@ -5,12 +5,10 @@ namespace obs {
 
 StatsDumper::StatsDumper(const MetricsRegistry* registry,
                          std::chrono::milliseconds period,
-                         std::function<void(const std::string&)> sink,
-                         Format format)
+                         std::function<void(const std::string&)> sink)
     : registry_(registry),
       period_(period),
       sink_(std::move(sink)),
-      format_(format),
       epoch_(std::chrono::steady_clock::now()) {
   thread_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(mu_);
@@ -29,10 +27,9 @@ StatsDumper::~StatsDumper() { Stop(); }
 
 std::string StatsDumper::RenderOne() {
   const std::string body = registry_->RenderJson();
-  if (format_ == Format::kJson) return body;
-  // JSON lines: stamp the snapshot and splice the registry object's keys
-  // into one flat single-line object. RenderJson emits a single line that
-  // starts with '{', so splicing after it is safe.
+  // Stamp the snapshot and splice the registry object's keys into one flat
+  // single-line object. RenderJson emits a single line that starts with
+  // '{', so splicing after it is safe.
   const uint64_t ts_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - epoch_)

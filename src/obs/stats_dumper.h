@@ -20,18 +20,14 @@ namespace obs {
 /// string to `sink` (e.g. a line writer to stderr or a rotating file). A
 /// final dump is emitted on `Stop()`/destruction so short runs still
 /// produce one snapshot. The registry must outlive the dumper.
+///
+/// Each snapshot is one self-contained JSON line,
+/// {"ts_ms": <uptime>, "seq": <n>, ...registry json...}\n — machine-
+/// ingestible with line-oriented tooling.
 class StatsDumper {
  public:
-  enum class Format {
-    kJson,       ///< registry->RenderJson() verbatim (may be large).
-    kJsonLines,  ///< One self-contained line per snapshot, prefixed with
-                 ///< {"ts_ms": <uptime>, "seq": <n>, ...registry json...}
-                 ///< — machine-ingestible with line-oriented tooling.
-  };
-
   StatsDumper(const MetricsRegistry* registry, std::chrono::milliseconds period,
-              std::function<void(const std::string& json)> sink,
-              Format format = Format::kJson);
+              std::function<void(const std::string& json)> sink);
   ~StatsDumper();
 
   StatsDumper(const StatsDumper&) = delete;
@@ -46,7 +42,6 @@ class StatsDumper {
   const MetricsRegistry* registry_;
   std::chrono::milliseconds period_;
   std::function<void(const std::string&)> sink_;
-  const Format format_;
   const std::chrono::steady_clock::time_point epoch_;
   uint64_t seq_ = 0;  ///< Snapshots emitted; only the dumper thread + Stop.
   std::mutex mu_;

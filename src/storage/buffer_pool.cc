@@ -6,8 +6,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/flight_recorder.h"
-
 namespace swst {
 
 PageHandle& PageHandle::operator=(PageHandle&& o) noexcept {
@@ -106,12 +104,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_pages, size_t partitions,
     m_write_run_pages_ = registry_->RegisterHistogram(
         "swst_pager_write_run_pages",
         "Pages per pager write call (runs > 1 are coalesced adjacent pages)");
-    m_uring_batch_pages_ = registry_->RegisterHistogram(
-        "swst_pager_uring_batch_pages",
-        "Pages per read batch submitted to the io_uring engine");
-    m_uring_wait_us_ = registry_->RegisterHistogram(
-        "swst_pager_uring_wait_us",
-        "Wall microseconds awaiting a read batch's completions");
     // The IoStats counters already exist as relaxed atomics; expose them as
     // callback gauges polled at render time instead of double-counting.
     // Registered with `this` as owner: a successor pool on the same
@@ -170,24 +162,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_pages, size_t partitions,
         "WAL syncs forced by the write-back path (WAL rule)", [this] {
           return static_cast<int64_t>(
               stats().wal_forced_syncs.load(std::memory_order_relaxed));
-        });
-    cb(
-        "swst_pager_uring_submits_total",
-        "Read batches submitted to the io_uring engine", [this] {
-          return static_cast<int64_t>(
-              stats().uring_submits.load(std::memory_order_relaxed));
-        });
-    cb(
-        "swst_pager_uring_completions_total",
-        "Pages completed through the io_uring engine", [this] {
-          return static_cast<int64_t>(
-              stats().uring_completions.load(std::memory_order_relaxed));
-        });
-    cb(
-        "swst_pager_uring_fallbacks_total",
-        "Read batches executed by the synchronous fallback", [this] {
-          return static_cast<int64_t>(
-              stats().uring_fallbacks.load(std::memory_order_relaxed));
         });
     cb(
         "swst_pool_pages_compressed",
@@ -411,12 +385,8 @@ Status BufferPool::FlushAll() {
 }
 
 void BufferPool::Prefetch(const std::vector<PageId>& ids) {
-  PrefetchAsync(ids).Finish();
-}
-
-AsyncPrefetch BufferPool::PrefetchAsync(const std::vector<PageId>& ids) {
   // Sort + dedup once so misses appear in page-id order (adjacent runs stay
-  // adjacent for the pager's vectored fallback); then claim frames per
+  // adjacent for the pager's vectored reads); then claim frames per
   // partition under its mutex. Claimed frames are in no map, no LRU, and no
   // free list — invisible to every concurrent pool operation — so the reads
   // can proceed into them with no partition lock held.
@@ -424,7 +394,12 @@ AsyncPrefetch BufferPool::PrefetchAsync(const std::vector<PageId>& ids) {
   std::sort(want.begin(), want.end());
   want.erase(std::unique(want.begin(), want.end()), want.end());
 
-  AsyncPrefetch pf;
+  struct Claim {
+    PageId id;
+    size_t partition;  ///< Partition index owning `frame`.
+    size_t frame;      ///< Claimed frame index within that partition.
+  };
+  std::vector<Claim> claims;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     Partition& part = *partitions_[p];
     std::lock_guard<std::mutex> lock(part.mu);
@@ -461,92 +436,40 @@ AsyncPrefetch BufferPool::PrefetchAsync(const std::vector<PageId>& ids) {
       // no scratch copy, and no zero-fill of bytes about to be overwritten.
       Frame& f = part.frames[frame_idx];
       if (f.data.empty()) f.data.resize(kPageSize);
-      pf.claims_.push_back({id, p, frame_idx});
+      claims.push_back({id, p, frame_idx});
       claimed++;
     }
   }
-  if (pf.claims_.empty()) return pf;
+  if (claims.empty()) return;
 
-  pf.reqs_.resize(pf.claims_.size());
-  for (size_t i = 0; i < pf.claims_.size(); ++i) {
-    const AsyncPrefetch::Claim& c = pf.claims_[i];
-    pf.reqs_[i].id = c.id;
-    pf.reqs_[i].buf = partitions_[c.partition]->frames[c.frame].data.data();
+  std::vector<AsyncPageRead> reqs(claims.size());
+  for (size_t i = 0; i < claims.size(); ++i) {
+    reqs[i].id = claims[i].id;
+    reqs[i].buf =
+        partitions_[claims[i].partition]->frames[claims[i].frame].data.data();
   }
   {
     std::lock_guard<std::mutex> pager_lock(pager_mu_);
-    // Covers the actual reads on the synchronous fallback (they execute
-    // inside SubmitReads there); submission cost only when async.
     PagerTimer timer(m_read_us_.get());
-    pf.batch_ = pager_->SubmitReads(pf.reqs_.data(), pf.reqs_.size());
-  }
-  IoStats& s0 = partitions_.front()->stats;
-  if (pf.batch_->async()) {
-    s0.uring_submits.fetch_add(1, std::memory_order_relaxed);
-    if (m_uring_batch_pages_ != nullptr) {
-      m_uring_batch_pages_->Record(pf.reqs_.size());
-    }
-  } else {
-    s0.uring_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    obs::RecordEvent(obs::EventType::kUringFallback, pf.reqs_.size());
-  }
-  pf.pool_ = this;
-  return pf;
-}
-
-AsyncPrefetch& AsyncPrefetch::operator=(AsyncPrefetch&& o) noexcept {
-  if (this != &o) {
-    Finish();
-    pool_ = o.pool_;
-    claims_ = std::move(o.claims_);
-    reqs_ = std::move(o.reqs_);
-    batch_ = std::move(o.batch_);
-    o.pool_ = nullptr;
-  }
-  return *this;
-}
-
-void AsyncPrefetch::Finish() {
-  if (pool_ == nullptr) return;
-  pool_->FinishPrefetch(*this);
-  pool_ = nullptr;
-  claims_.clear();
-  reqs_.clear();
-  batch_.reset();
-}
-
-void BufferPool::FinishPrefetch(AsyncPrefetch& pf) {
-  size_t completed = 0;
-  {
-    std::lock_guard<std::mutex> pager_lock(pager_mu_);
-    PagerTimer timer(m_uring_wait_us_.get());
-    (void)pf.batch_->Await();  // Per-request statuses carry the detail.
-    const bool was_async = pf.batch_->async();
-    pf.batch_.reset();  // Batch teardown is a pager call too.
-    if (was_async) {
-      completed = pf.reqs_.size();
-    }
-  }
-  if (completed != 0) {
-    partitions_.front()->stats.uring_completions.fetch_add(
-        completed, std::memory_order_relaxed);
+    // Per-request statuses carry the detail.
+    (void)pager_->SubmitReads(reqs.data(), reqs.size())->Await();
   }
 
   // Install under the partition mutexes (never held together with
   // pager_mu_). A page fetched by another thread while our read was in
-  // flight wins: the duplicate frame goes back to the free list.
+  // progress wins: the duplicate frame goes back to the free list.
   for (size_t p = 0; p < partitions_.size(); ++p) {
     Partition* part = nullptr;
     std::unique_lock<std::mutex> lock;
-    for (size_t i = 0; i < pf.claims_.size(); ++i) {
-      const AsyncPrefetch::Claim& c = pf.claims_[i];
+    for (size_t i = 0; i < claims.size(); ++i) {
+      const Claim& c = claims[i];
       if (c.partition != p) continue;
       if (part == nullptr) {
         part = partitions_[p].get();
         lock = std::unique_lock<std::mutex>(part->mu);
       }
       Frame& f = part->frames[c.frame];
-      if (!pf.reqs_[i].status.ok() || part->page_to_frame.count(c.id) != 0) {
+      if (!reqs[i].status.ok() || part->page_to_frame.count(c.id) != 0) {
         // Failed read (purely a hint: the eventual Fetch re-reads and
         // surfaces the error) or raced install — return the frame.
         part->unused_frames.push_back(c.frame);

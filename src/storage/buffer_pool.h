@@ -69,52 +69,6 @@ class PageHandle {
   char* data_ = nullptr;
 };
 
-/// \brief An in-flight asynchronous readahead batch (see
-/// `BufferPool::PrefetchAsync`).
-///
-/// Between submission and `Finish()` the claimed frames are invisible to
-/// every other pool operation, and the underlying reads may still be in
-/// flight (io_uring) — the caller overlaps its in-core work with them and
-/// calls `Finish()` (idempotent; also run by the destructor) before
-/// fetching any of the submitted pages. Move-only; must not outlive the
-/// pool that issued it.
-class AsyncPrefetch {
- public:
-  AsyncPrefetch() = default;
-  ~AsyncPrefetch() { Finish(); }
-
-  AsyncPrefetch(AsyncPrefetch&& o) noexcept { *this = std::move(o); }
-  AsyncPrefetch& operator=(AsyncPrefetch&& o) noexcept;
-
-  AsyncPrefetch(const AsyncPrefetch&) = delete;
-  AsyncPrefetch& operator=(const AsyncPrefetch&) = delete;
-
-  /// Waits for every read of the batch and installs the pages that
-  /// completed cleanly into the pool (as readahead: unpinned, LRU-fronted,
-  /// not counted as logical reads). Failed pages are silently dropped —
-  /// like `Prefetch`, the whole object is a hint. Idempotent.
-  void Finish();
-
-  /// True while the batch has not been finished yet.
-  bool pending() const { return pool_ != nullptr; }
-
- private:
-  friend class BufferPool;
-  struct Claim {
-    PageId id;
-    size_t partition;  ///< Partition index owning `frame`.
-    size_t frame;      ///< Claimed frame index within that partition.
-  };
-
-  BufferPool* pool_ = nullptr;
-  std::vector<Claim> claims_;
-  /// One request per claim; the batch holds pointers into this vector, so
-  /// it is sized once at submission and never reallocated (moves keep the
-  /// heap buffer stable).
-  std::vector<AsyncPageRead> reqs_;
-  std::unique_ptr<Pager::ReadBatch> batch_;
-};
-
 /// \brief Fixed-capacity, lock-striped LRU page cache over a `Pager`.
 ///
 /// All index structures in this codebase (B+ trees, R-trees, MVR-trees)
@@ -182,21 +136,14 @@ class BufferPool {
 
   /// Best-effort readahead: loads the given pages into the cache without
   /// pinning them, so subsequent `Fetch` calls hit. Pages already cached
-  /// are skipped; runs of adjacent missing ids are read with a single
-  /// `Pager::ReadPages` call. Prefetching never evicts a dirty page, never
-  /// consumes more than half of a partition's frames in one call, and
-  /// swallows read errors (the later `Fetch` re-reads and reports them) —
-  /// it is purely a hint. Does NOT count toward `logical_reads`, so node
-  /// access metrics are unaffected; see `readahead_pages`/`readahead_hits`.
+  /// are skipped; the missing ones are read as ONE `Pager::SubmitReads`
+  /// batch (one `preadv` per run of adjacent ids on the file backend).
+  /// Prefetching never evicts a dirty page, never consumes more than half
+  /// of a partition's frames in one call, and swallows read errors (the
+  /// later `Fetch` re-reads and reports them) — it is purely a hint. Does
+  /// NOT count toward `logical_reads`, so node access metrics are
+  /// unaffected; see `readahead_pages`/`readahead_hits`.
   void Prefetch(const std::vector<PageId>& ids);
-
-  /// Asynchronous readahead: claims frames and submits the missing pages'
-  /// reads as ONE `Pager::SubmitReads` batch (io_uring when available),
-  /// then returns immediately — the caller overlaps in-core work with the
-  /// reads and calls `Finish()` on the returned object before fetching any
-  /// of the pages. Same hint semantics, budgets, and counters as
-  /// `Prefetch` (which is now just `PrefetchAsync(ids).Finish()`).
-  AsyncPrefetch PrefetchAsync(const std::vector<PageId>& ids);
 
   /// Records one leaf page stored in the compressed v2 format and the
   /// payload bytes it saved versus the fixed-width v1 layout. Called by the
@@ -236,7 +183,6 @@ class BufferPool {
 
  private:
   friend class PageHandle;
-  friend class AsyncPrefetch;
 
   struct Frame {
     PageId page_id = kInvalidPageId;
@@ -290,12 +236,6 @@ class BufferPool {
   /// is pinned. Caller holds `part.mu`.
   Result<size_t> GrabFrame(Partition& part);
 
-  /// Waits for `pf`'s batch (under `pager_mu_`) and installs its pages —
-  /// second half of `PrefetchAsync`. Never holds a partition mutex and
-  /// `pager_mu_` at the same time, so it composes with `Fetch`'s
-  /// partition-then-pager order.
-  void FinishPrefetch(AsyncPrefetch& pf);
-
   Pager* pager_;
   Wal* wal_ = nullptr;  ///< Not owned; see AttachWal.
   /// Serializes all calls into `pager_`; acquired after a partition mutex.
@@ -310,8 +250,6 @@ class BufferPool {
   std::shared_ptr<obs::Histogram> m_read_us_;
   std::shared_ptr<obs::Histogram> m_write_us_;
   std::shared_ptr<obs::Histogram> m_write_run_pages_;
-  std::shared_ptr<obs::Histogram> m_uring_batch_pages_;
-  std::shared_ptr<obs::Histogram> m_uring_wait_us_;
 };
 
 }  // namespace swst

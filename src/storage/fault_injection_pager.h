@@ -78,12 +78,11 @@ class FaultInjectionPager final : public Pager {
   /// implementation: one virtual `ReadPage` per request, so Nth and
   /// probabilistic read faults, buffered (unsynced) images, and torn-page
   /// corruption all fire exactly as they would on single reads — the error
-  /// simply surfaces at completion time in the request's `status`, matching
-  /// the async engine's contract. Never submits to io_uring (the base's
-  /// ring would bypass this decorator entirely).
+  /// simply surfaces at completion time in the request's `status`. Never
+  /// forwards the batch to the base (its preadv path would bypass this
+  /// decorator entirely).
   std::unique_ptr<ReadBatch> SubmitReads(AsyncPageRead* reqs,
                                          size_t n) override;
-  void SetAsyncReads(bool enabled) override { base_->SetAsyncReads(enabled); }
   uint64_t read_syscalls() const override { return base_->read_syscalls(); }
 
   /// Installs a fault schedule (resets the probabilistic RNG to

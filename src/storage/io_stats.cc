@@ -15,9 +15,6 @@ IoStats IoStats::Since(const IoStats& snapshot) const {
   d.readahead_pages = readahead_pages - snapshot.readahead_pages;
   d.readahead_hits = readahead_hits - snapshot.readahead_hits;
   d.wal_forced_syncs = wal_forced_syncs - snapshot.wal_forced_syncs;
-  d.uring_submits = uring_submits - snapshot.uring_submits;
-  d.uring_completions = uring_completions - snapshot.uring_completions;
-  d.uring_fallbacks = uring_fallbacks - snapshot.uring_fallbacks;
   d.pages_compressed = pages_compressed - snapshot.pages_compressed;
   d.compression_saved_bytes =
       compression_saved_bytes - snapshot.compression_saved_bytes;
@@ -35,9 +32,6 @@ std::string IoStats::ToString() const {
      << ", readahead_pages=" << readahead_pages
      << ", readahead_hits=" << readahead_hits
      << ", wal_forced_syncs=" << wal_forced_syncs
-     << ", uring_submits=" << uring_submits
-     << ", uring_completions=" << uring_completions
-     << ", uring_fallbacks=" << uring_fallbacks
      << ", pages_compressed=" << pages_compressed
      << ", compression_saved_bytes=" << compression_saved_bytes << "}";
   return os.str();

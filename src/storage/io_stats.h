@@ -39,13 +39,6 @@ struct IoStats {
   /// beyond the log's durable LSN, so the WAL rule made the pool sync the
   /// log before writing the page (see docs/durability.md).
   std::atomic<uint64_t> wal_forced_syncs{0};
-  /// Read batches submitted to the asynchronous (io_uring) engine by the
-  /// prefetch/miss paths, and pages completed through it. `uring_fallbacks`
-  /// counts batches that ran through the synchronous vectored path instead
-  /// (ring unavailable, disabled, busy, or a sub-2-page batch).
-  std::atomic<uint64_t> uring_submits{0};
-  std::atomic<uint64_t> uring_completions{0};
-  std::atomic<uint64_t> uring_fallbacks{0};
   /// Leaf pages encoded in the compressed v2 format, and the total payload
   /// bytes saved versus the fixed-width v1 record array (see
   /// docs/storage.md, "Page format v2").
@@ -76,13 +69,6 @@ struct IoStats {
                          std::memory_order_relaxed);
     wal_forced_syncs.store(o.wal_forced_syncs.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
-    uring_submits.store(o.uring_submits.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    uring_completions.store(
-        o.uring_completions.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    uring_fallbacks.store(o.uring_fallbacks.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
     pages_compressed.store(o.pages_compressed.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
     compression_saved_bytes.store(
@@ -109,9 +95,6 @@ struct IoStats {
     readahead_pages.store(0, std::memory_order_relaxed);
     readahead_hits.store(0, std::memory_order_relaxed);
     wal_forced_syncs.store(0, std::memory_order_relaxed);
-    uring_submits.store(0, std::memory_order_relaxed);
-    uring_completions.store(0, std::memory_order_relaxed);
-    uring_fallbacks.store(0, std::memory_order_relaxed);
     pages_compressed.store(0, std::memory_order_relaxed);
     compression_saved_bytes.store(0, std::memory_order_relaxed);
   }
@@ -139,14 +122,6 @@ struct IoStats {
                              std::memory_order_relaxed);
     wal_forced_syncs.fetch_add(
         o.wal_forced_syncs.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    uring_submits.fetch_add(o.uring_submits.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    uring_completions.fetch_add(
-        o.uring_completions.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    uring_fallbacks.fetch_add(
-        o.uring_fallbacks.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     pages_compressed.fetch_add(
         o.pages_compressed.load(std::memory_order_relaxed),

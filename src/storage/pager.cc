@@ -1,12 +1,5 @@
 #include "storage/pager.h"
 
-// Defined to 1 by the build (SWST_ENABLE_IO_URING, Linux with the io_uring
-// UAPI header present); everything ring-related compiles away otherwise and
-// SubmitReads always takes the synchronous vectored fallback.
-#ifndef SWST_IO_URING
-#define SWST_IO_URING 0
-#endif
-
 #include <fcntl.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -18,12 +11,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#if SWST_IO_URING
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
 
 #include "storage/crc32c.h"
 
@@ -45,9 +32,10 @@ std::string Errno(const std::string& op) {
   return op + ": " + std::strerror(errno);
 }
 
-/// A batch whose reads were executed before the handle was returned (the
-/// synchronous fallback and the decorator-transparent base path). `Await`
-/// just reports the first error; per-request statuses are already set.
+/// A batch whose reads were executed before the handle was returned (every
+/// batch: the file backend's preadv path and the decorator-transparent base
+/// path). `Await` just reports the first error; per-request statuses are
+/// already set.
 class CompletedReadBatch final : public Pager::ReadBatch {
  public:
   explicit CompletedReadBatch(Status first) : first_(std::move(first)) {}
@@ -56,144 +44,6 @@ class CompletedReadBatch final : public Pager::ReadBatch {
  private:
   Status first_;
 };
-
-#if SWST_IO_URING
-
-/// Minimal raw-syscall io_uring wrapper. The build environment ships the
-/// kernel UAPI header (<linux/io_uring.h>) but no liburing, so the ring is
-/// set up and driven directly: io_uring_setup + the two/three ring mmaps,
-/// release-stores on the SQ tail, acquire-loads on the CQ tail. Reads only
-/// (IORING_OP_READV); one ring per FilePager, created lazily on the first
-/// async batch and torn down with the pager.
-class UringQueue {
- public:
-  static std::unique_ptr<UringQueue> Create(unsigned entries) {
-    auto q = std::unique_ptr<UringQueue>(new UringQueue());
-    struct io_uring_params p;
-    std::memset(&p, 0, sizeof(p));
-    q->fd_ = static_cast<int>(::syscall(__NR_io_uring_setup, entries, &p));
-    if (q->fd_ < 0) return nullptr;  // ENOSYS, EPERM (seccomp), EMFILE...
-
-    size_t sq_sz = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    size_t cq_sz = p.cq_off.cqes + p.cq_entries * sizeof(struct io_uring_cqe);
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      sq_sz = cq_sz = std::max(sq_sz, cq_sz);
-    }
-    q->sq_ring_ = ::mmap(nullptr, sq_sz, PROT_READ | PROT_WRITE,
-                         MAP_SHARED | MAP_POPULATE, q->fd_, IORING_OFF_SQ_RING);
-    if (q->sq_ring_ == MAP_FAILED) return nullptr;
-    q->sq_ring_sz_ = sq_sz;
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      q->cq_ring_ = q->sq_ring_;
-      q->cq_ring_sz_ = 0;  // Shared mapping; unmapped via sq_ring_.
-    } else {
-      q->cq_ring_ = ::mmap(nullptr, cq_sz, PROT_READ | PROT_WRITE,
-                           MAP_SHARED | MAP_POPULATE, q->fd_,
-                           IORING_OFF_CQ_RING);
-      if (q->cq_ring_ == MAP_FAILED) {
-        q->cq_ring_ = nullptr;
-        return nullptr;
-      }
-      q->cq_ring_sz_ = cq_sz;
-    }
-    q->sqes_sz_ = p.sq_entries * sizeof(struct io_uring_sqe);
-    q->sqes_ = static_cast<struct io_uring_sqe*>(
-        ::mmap(nullptr, q->sqes_sz_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, q->fd_, IORING_OFF_SQES));
-    if (q->sqes_ == MAP_FAILED) {
-      q->sqes_ = nullptr;
-      return nullptr;
-    }
-
-    char* sq = static_cast<char*>(q->sq_ring_);
-    q->sq_head_ = reinterpret_cast<unsigned*>(sq + p.sq_off.head);
-    q->sq_tail_ = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    q->sq_mask_ = *reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    q->sq_array_ = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    char* cq = static_cast<char*>(q->cq_ring_);
-    q->cq_head_ = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    q->cq_tail_ = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    q->cq_mask_ = *reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    q->cqes_ = reinterpret_cast<struct io_uring_cqe*>(cq + p.cq_off.cqes);
-    q->sq_entries_ = p.sq_entries;
-    return q;
-  }
-
-  ~UringQueue() {
-    if (sqes_ != nullptr) ::munmap(sqes_, sqes_sz_);
-    if (cq_ring_ != nullptr && cq_ring_sz_ != 0) ::munmap(cq_ring_, cq_ring_sz_);
-    if (sq_ring_ != nullptr && sq_ring_ != MAP_FAILED) {
-      ::munmap(sq_ring_, sq_ring_sz_);
-    }
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  unsigned capacity() const { return sq_entries_; }
-
-  /// Space for another SQE without overrunning the kernel's consumer.
-  bool CanPush() const {
-    unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-    return sqe_tail_ - head < sq_entries_;
-  }
-
-  /// Writes one SQE and publishes it with a release-store on the SQ tail.
-  void PushSqe(const struct io_uring_sqe& sqe) {
-    const unsigned idx = sqe_tail_ & sq_mask_;
-    sqes_[idx] = sqe;
-    sq_array_[idx] = idx;
-    sqe_tail_++;
-    __atomic_store_n(sq_tail_, sqe_tail_, __ATOMIC_RELEASE);
-    pending_submit_++;
-  }
-
-  /// Enters the kernel: consumes pending SQEs and, when `min_complete` is
-  /// nonzero, waits for that many completions. Returns 0 or -errno.
-  int Enter(unsigned min_complete) {
-    for (;;) {
-      unsigned flags = (min_complete != 0) ? IORING_ENTER_GETEVENTS : 0;
-      long rc = ::syscall(__NR_io_uring_enter, fd_, pending_submit_,
-                          min_complete, flags, nullptr, 0);
-      if (rc >= 0) {
-        pending_submit_ -= static_cast<unsigned>(rc);
-        return 0;
-      }
-      if (errno != EINTR) return -errno;
-    }
-  }
-
-  /// Pops one completion if available.
-  bool PopCqe(struct io_uring_cqe* out) {
-    unsigned head = *cq_head_;
-    if (head == __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE)) return false;
-    *out = cqes_[head & cq_mask_];
-    __atomic_store_n(cq_head_, head + 1, __ATOMIC_RELEASE);
-    return true;
-  }
-
- private:
-  UringQueue() = default;
-
-  int fd_ = -1;
-  void* sq_ring_ = nullptr;
-  size_t sq_ring_sz_ = 0;
-  void* cq_ring_ = nullptr;
-  size_t cq_ring_sz_ = 0;
-  struct io_uring_sqe* sqes_ = nullptr;
-  size_t sqes_sz_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  struct io_uring_cqe* cqes_ = nullptr;
-  unsigned sq_entries_ = 0;
-  unsigned sqe_tail_ = 0;        ///< Local copy of the SQ tail.
-  unsigned pending_submit_ = 0;  ///< SQEs pushed but not yet consumed.
-};
-
-#endif  // SWST_IO_URING
 
 class FilePager final : public Pager {
  public:
@@ -277,46 +127,12 @@ class FilePager final : public Pager {
     return WriteRaw(id, buf);
   }
 
-  // Vectored multi-page I/O: one preadv/pwritev per chunk of up to
-  // kIovPages consecutive pages, with interleaved payload/trailer iovecs so
-  // the physical range is covered by a single syscall. A short or failed
-  // transfer retries that chunk through the per-page path, which reports
-  // the precise error.
+  // Vectored multi-page I/O (SubmitReads, WritePages): one preadv/pwritev
+  // per chunk of up to kIovPages consecutive pages, with interleaved
+  // payload/trailer iovecs so the physical range is covered by a single
+  // syscall. A short or failed transfer retries that chunk through the
+  // per-page path, which reports the precise error.
   static constexpr uint32_t kIovPages = 32;
-
-  Status ReadPages(PageId first, uint32_t count, void* buf) override {
-    if (first == kInvalidPageId ||
-        static_cast<uint64_t>(first) + count > sb_.page_count) {
-      return Status::InvalidArgument("ReadPages: bad page range");
-    }
-    char* dst = static_cast<char*>(buf);
-    for (uint32_t done = 0; done < count;) {
-      const uint32_t n = std::min(kIovPages, count - done);
-      PageTrailer trailers[kIovPages];
-      struct iovec iov[2 * kIovPages];
-      for (uint32_t i = 0; i < n; ++i) {
-        iov[2 * i] = {dst + (done + i) * kPageSize, kPageSize};
-        iov[2 * i + 1] = {&trailers[i], sizeof(PageTrailer)};
-      }
-      const off_t off = static_cast<off_t>(first + done) * kPhysicalPageSize;
-      const ssize_t want = static_cast<ssize_t>(n) * kPhysicalPageSize;
-      read_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (::preadv(fd_, iov, static_cast<int>(2 * n), off) != want) {
-        for (uint32_t i = 0; i < n; ++i) {
-          SWST_RETURN_IF_ERROR(
-              ReadRaw(first + done + i, dst + (done + i) * kPageSize));
-        }
-        done += n;
-        continue;
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        SWST_RETURN_IF_ERROR(VerifyTrailer(
-            first + done + i, dst + (done + i) * kPageSize, trailers[i]));
-      }
-      done += n;
-    }
-    return Status::OK();
-  }
 
   Status WritePages(PageId first, uint32_t count, const void* buf) override {
     if (first == kInvalidPageId ||
@@ -361,72 +177,17 @@ class FilePager final : public Pager {
   uint64_t page_count() const override { return sb_.page_count; }
   uint64_t live_page_count() const override { return sb_.live_pages; }
 
-  void SetAsyncReads(bool enabled) override { async_reads_ = enabled; }
   uint64_t read_syscalls() const override {
     return read_syscalls_.load(std::memory_order_relaxed);
   }
 
+  /// Executes the batch now: requests are sorted by page id and each run of
+  /// adjacent ids is read with one preadv per chunk of up to kIovPages
+  /// pages, straight into the scattered destination buffers (no bounce
+  /// copy), per page on short transfers. Statuses are per request; the
+  /// batch keeps going past errors.
   std::unique_ptr<ReadBatch> SubmitReads(AsyncPageRead* reqs,
                                          size_t n) override {
-#if SWST_IO_URING
-    // Lazy runtime detection: the first async batch tries to set up a
-    // ring; ENOSYS/EPERM (old kernel, seccomp) permanently selects the
-    // synchronous fallback. One batch in flight at a time — a second
-    // submission while one is pending (or a 0/1-page batch, where a ring
-    // round-trip buys nothing) also falls back.
-    if (async_reads_ && n >= 2 && !ring_busy_) {
-      if (!ring_tried_) {
-        ring_tried_ = true;
-        ring_ = UringQueue::Create(kRingEntries);
-      }
-      if (ring_ != nullptr) {
-        ring_busy_ = true;
-        return std::make_unique<UringReadBatch>(this, reqs, n);
-      }
-    }
-#endif
-    return SyncBatch(reqs, n);
-  }
-
-  Status CorruptPageForTesting(PageId id, uint32_t offset,
-                               uint32_t len) override {
-    if (id >= sb_.page_count || offset + len > kPageSize) {
-      return Status::InvalidArgument("CorruptPageForTesting: bad range");
-    }
-    const off_t off = static_cast<off_t>(id) * kPhysicalPageSize + offset;
-    std::vector<char> bytes(len);
-    if (::pread(fd_, bytes.data(), len, off) != static_cast<ssize_t>(len)) {
-      return Status::IOError(Errno("pread " + path_));
-    }
-    for (char& b : bytes) b = static_cast<char>(b ^ 0xA5);
-    if (::pwrite(fd_, bytes.data(), len, off) != static_cast<ssize_t>(len)) {
-      return Status::IOError(Errno("pwrite " + path_));
-    }
-    return Status::OK();
-  }
-
- private:
-  /// Verifies a page's integrity trailer against its freshly read payload.
-  Status VerifyTrailer(PageId id, const void* payload,
-                       const PageTrailer& tr) const {
-    const uint32_t expect = crc32c::Compute(payload, kPageSize);
-    if (crc32c::Unmask(tr.crc) != expect) {
-      return Status::Corruption("checksum mismatch on page " +
-                                std::to_string(id) + " of " + path_);
-    }
-    if (tr.page_id != id) {
-      return Status::Corruption("misdirected write: page " +
-                                std::to_string(id) + " of " + path_ +
-                                " carries id " + std::to_string(tr.page_id));
-    }
-    return Status::OK();
-  }
-
-  /// Synchronous batch fallback: executes all requests now with one preadv
-  /// per run of adjacent page ids (scattered destination buffers, so no
-  /// bounce copy), per-page on short transfers. Statuses are per request;
-  /// the batch keeps going past errors, like the async path.
-  std::unique_ptr<ReadBatch> SyncBatch(AsyncPageRead* reqs, size_t n) {
     std::vector<size_t> order(n);
     for (size_t i = 0; i < n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -495,166 +256,62 @@ class FilePager final : public Pager {
     return std::make_unique<CompletedReadBatch>(std::move(first));
   }
 
-#if SWST_IO_URING
-  static constexpr unsigned kRingEntries = 128;
-
-  /// An in-flight io_uring batch: one IORING_OP_READV SQE per page (payload
-  /// into the caller's buffer, trailer into a batch-owned slot), completions
-  /// routed back through user_data, CRC/id verified at completion time.
-  /// Batches larger than the ring are drip-fed as completions free slots.
-  class UringReadBatch final : public ReadBatch {
-   public:
-    UringReadBatch(FilePager* pager, AsyncPageRead* reqs, size_t n)
-        : pager_(pager), reqs_(reqs), n_(n), trailers_(n), iovs_(2 * n) {
-      for (size_t i = 0; i < n_; ++i) {
-        AsyncPageRead& r = reqs_[i];
-        if (r.id == kInvalidPageId || r.id >= pager_->sb_.page_count) {
-          r.status = Status::InvalidArgument("ReadPage: bad page id");
-          Note(r.status);
-          completed_++;
-          continue;
-        }
-        iovs_[2 * i] = {r.buf, kPageSize};
-        iovs_[2 * i + 1] = {&trailers_[i], sizeof(PageTrailer)};
-        pending_.push_back(i);
-      }
-      PushReady();
-      if (pager_->ring_->Enter(0) == 0) {
-        pager_->read_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      }
+  Status CorruptPageForTesting(PageId id, uint32_t offset,
+                               uint32_t len) override {
+    if (id >= sb_.page_count || offset + len > kPageSize) {
+      return Status::InvalidArgument("CorruptPageForTesting: bad range");
     }
-
-    ~UringReadBatch() override { (void)Await(); }
-
-    bool async() const override { return true; }
-
-    Status Await() override {
-      if (done_) return first_error_;
-      UringQueue* ring = pager_->ring_.get();
-      while (completed_ < n_) {
-        struct io_uring_cqe cqe;
-        bool reaped = false;
-        while (ring->PopCqe(&cqe)) {
-          Complete(cqe);
-          reaped = true;
-        }
-        if (reaped) {
-          PushReady();
-          continue;
-        }
-        if (completed_ >= n_) break;
-        pager_->read_syscalls_.fetch_add(1, std::memory_order_relaxed);
-        int rc = ring->Enter(/*min_complete=*/1);
-        if (rc != 0) {
-          // The ring itself failed (should not happen after setup); fail
-          // everything still in flight through the per-page path so the
-          // batch always completes with definite statuses.
-          for (size_t i = 0; i < n_; ++i) {
-            if (!Finished(i)) {
-              reqs_[i].status = pager_->ReadRaw(reqs_[i].id, reqs_[i].buf);
-              Note(reqs_[i].status);
-              completed_++;
-            }
-          }
-          break;
-        }
-      }
-      done_ = true;
-      pager_->ring_busy_ = false;
-      return first_error_;
-    }
-
-   private:
-    void Note(const Status& st) {
-      if (!st.ok() && first_error_.ok()) first_error_ = st;
-    }
-
-    bool Finished(size_t i) const {
-      return finished_[i / 64] & (uint64_t{1} << (i % 64));
-    }
-    void SetFinished(size_t i) {
-      finished_[i / 64] |= uint64_t{1} << (i % 64);
-    }
-
-    /// Pushes pending requests while the ring has room.
-    void PushReady() {
-      UringQueue* ring = pager_->ring_.get();
-      while (next_pending_ < pending_.size() && ring->CanPush()) {
-        const size_t i = pending_[next_pending_++];
-        struct io_uring_sqe sqe;
-        std::memset(&sqe, 0, sizeof(sqe));
-        sqe.opcode = IORING_OP_READV;
-        sqe.fd = pager_->fd_;
-        sqe.addr = reinterpret_cast<uint64_t>(&iovs_[2 * i]);
-        sqe.len = 2;
-        sqe.off = static_cast<uint64_t>(reqs_[i].id) * kPhysicalPageSize;
-        sqe.user_data = i;
-        ring->PushSqe(sqe);
-      }
-    }
-
-    void Complete(const struct io_uring_cqe& cqe) {
-      const size_t i = static_cast<size_t>(cqe.user_data);
-      if (i >= n_ || Finished(i)) return;  // Defensive: unknown completion.
-      SetFinished(i);
-      AsyncPageRead& r = reqs_[i];
-      if (cqe.res < 0) {
-        r.status = Status::IOError("readv " + pager_->path_ + ": " +
-                                   std::strerror(-cqe.res));
-      } else if (cqe.res != static_cast<int32_t>(kPhysicalPageSize)) {
-        r.status = Status::IOError("short readv on page " +
-                                   std::to_string(r.id) + " of " +
-                                   pager_->path_);
-      } else {
-        r.status = pager_->VerifyTrailer(r.id, r.buf, trailers_[i]);
-      }
-      Note(r.status);
-      completed_++;
-    }
-
-    FilePager* pager_;
-    AsyncPageRead* reqs_;
-    size_t n_;
-    std::vector<PageTrailer> trailers_;
-    std::vector<struct iovec> iovs_;
-    std::vector<size_t> pending_;  ///< Request indices awaiting submission.
-    size_t next_pending_ = 0;
-    size_t completed_ = 0;
-    /// Bitmap of requests with a final status (guards double completions
-    /// from a corrupt CQE; sized for the whole batch).
-    std::vector<uint64_t> finished_ = std::vector<uint64_t>((n_ + 63) / 64);
-    bool done_ = false;
-    Status first_error_;
-  };
-#endif  // SWST_IO_URING
-
-  /// Reads the payload of page `id` into `buf` and verifies its trailer.
-  Status ReadRaw(PageId id, void* buf) {
-    const off_t off = static_cast<off_t>(id) * kPhysicalPageSize;
-    read_syscalls_.fetch_add(2, std::memory_order_relaxed);
-    ssize_t n = ::pread(fd_, buf, kPageSize, off);
-    if (n != static_cast<ssize_t>(kPageSize)) {
+    const off_t off = static_cast<off_t>(id) * kPhysicalPageSize + offset;
+    std::vector<char> bytes(len);
+    if (::pread(fd_, bytes.data(), len, off) != static_cast<ssize_t>(len)) {
       return Status::IOError(Errno("pread " + path_));
     }
+    for (char& b : bytes) b = static_cast<char>(b ^ 0xA5);
+    if (::pwrite(fd_, bytes.data(), len, off) != static_cast<ssize_t>(len)) {
+      return Status::IOError(Errno("pwrite " + path_));
+    }
+    return Status::OK();
+  }
+
+ private:
+  /// Verifies a page's integrity trailer against its freshly read payload.
+  Status VerifyTrailer(PageId id, const void* payload,
+                       const PageTrailer& tr) const {
+    const uint32_t expect = crc32c::Compute(payload, kPageSize);
+    if (crc32c::Unmask(tr.crc) != expect) {
+      return Status::Corruption("checksum mismatch on page " +
+                                std::to_string(id) + " of " + path_);
+    }
+    if (tr.page_id != id) {
+      return Status::Corruption("misdirected write: page " +
+                                std::to_string(id) + " of " + path_ +
+                                " carries id " + std::to_string(tr.page_id));
+    }
+    return Status::OK();
+  }
+
+  /// Reads the payload of page `id` into `buf` and verifies its trailer:
+  /// one preadv over {payload, trailer}.
+  Status ReadRaw(PageId id, void* buf) {
     PageTrailer tr;
-    n = ::pread(fd_, &tr, sizeof(tr), off + kPageSize);
-    if (n != static_cast<ssize_t>(sizeof(tr))) {
-      return Status::IOError(Errno("pread trailer " + path_));
+    struct iovec iov[2] = {{buf, kPageSize}, {&tr, sizeof(tr)}};
+    read_syscalls_.fetch_add(1, std::memory_order_relaxed);
+    if (::preadv(fd_, iov, 2, static_cast<off_t>(id) * kPhysicalPageSize) !=
+        static_cast<ssize_t>(kPhysicalPageSize)) {
+      return Status::IOError(Errno("preadv " + path_));
     }
     return VerifyTrailer(id, buf, tr);
   }
 
-  /// Writes the payload of page `id` and stamps a fresh trailer.
+  /// Writes the payload of page `id` and stamps a fresh trailer: one
+  /// pwritev over {payload, trailer}.
   Status WriteRaw(PageId id, const void* buf) {
-    const off_t off = static_cast<off_t>(id) * kPhysicalPageSize;
-    ssize_t n = ::pwrite(fd_, buf, kPageSize, off);
-    if (n != static_cast<ssize_t>(kPageSize)) {
-      return Status::IOError(Errno("pwrite " + path_));
-    }
     PageTrailer tr{crc32c::Mask(crc32c::Compute(buf, kPageSize)), id, 0};
-    n = ::pwrite(fd_, &tr, sizeof(tr), off + kPageSize);
-    if (n != static_cast<ssize_t>(sizeof(tr))) {
-      return Status::IOError(Errno("pwrite trailer " + path_));
+    struct iovec iov[2] = {{const_cast<void*>(buf), kPageSize},
+                           {&tr, sizeof(tr)}};
+    if (::pwritev(fd_, iov, 2, static_cast<off_t>(id) * kPhysicalPageSize) !=
+        static_cast<ssize_t>(kPhysicalPageSize)) {
+      return Status::IOError(Errno("pwritev " + path_));
     }
     return Status::OK();
   }
@@ -668,16 +325,7 @@ class FilePager final : public Pager {
   int fd_;
   std::string path_;
   Superblock sb_{};
-  bool async_reads_ = true;
   mutable std::atomic<uint64_t> read_syscalls_{0};
-#if SWST_IO_URING
-  std::unique_ptr<UringQueue> ring_;
-  bool ring_tried_ = false;
-  /// True while a `UringReadBatch` is in flight; a second submission in
-  /// that window (recursive prefetch, overlapped batches) runs through the
-  /// synchronous fallback instead of sharing the ring.
-  bool ring_busy_ = false;
-#endif
 };
 
 class MemPager final : public Pager {

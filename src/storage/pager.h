@@ -27,9 +27,9 @@ static_assert(sizeof(PageTrailer) == 16);
 inline constexpr uint32_t kPhysicalPageSize =
     kPageSize + static_cast<uint32_t>(sizeof(PageTrailer));
 
-/// One page read in an asynchronous batch (see `Pager::SubmitReads`).
-/// `buf` must point at `kPageSize` writable bytes that stay valid until the
-/// batch's `Await` returns; `status` is undefined until then.
+/// One page read in a batch (see `Pager::SubmitReads`). `buf` must point
+/// at `kPageSize` writable bytes that stay valid until the batch's `Await`
+/// returns; `status` is undefined until then.
 struct AsyncPageRead {
   PageId id = kInvalidPageId;
   void* buf = nullptr;
@@ -39,7 +39,7 @@ struct AsyncPageRead {
 /// Calls `fn(start, length)` for every maximal run of adjacent ascending
 /// page ids, where `id_at(i)` yields the i-th id of a sorted sequence of
 /// `n` ids. Shared by the buffer pool's flush/write-back paths and the
-/// pager's synchronous batch fallback, so run detection lives in one place
+/// file pager's batched reads, so run detection lives in one place
 /// instead of being re-derived at each call site.
 template <typename GetId, typename Fn>
 void ForEachAdjacentRun(size_t n, GetId&& id_at, Fn&& fn) {
@@ -95,16 +95,15 @@ class Pager {
 
   /// Reads `count` consecutive pages starting at `first` into `buf`
   /// (`count * kPageSize` bytes; page `first + i` lands at offset
-  /// `i * kPageSize`). The base implementation loops over `ReadPage`, so
-  /// decorators such as `FaultInjectionPager` still observe (and can fault)
-  /// each page as its own operation. The file backend overrides this with a
-  /// single `preadv` spanning the physical range; every page's trailer is
-  /// verified exactly as in `ReadPage`.
+  /// `i * kPageSize`). Loops over `ReadPage`, so decorators such as
+  /// `FaultInjectionPager` still observe (and can fault) each page as its
+  /// own operation. Batched reads go through `SubmitReads` instead.
   virtual Status ReadPages(PageId first, uint32_t count, void* buf);
 
-  /// Writes `count` consecutive pages from `buf` starting at `first`.
-  /// Same layout and override contract as `ReadPages`; the file backend
-  /// uses `pwritev` and stamps a fresh trailer per page.
+  /// Writes `count` consecutive pages from `buf` starting at `first`, in
+  /// the `ReadPages` layout. The base implementation loops over
+  /// `WritePage`; the file backend overrides it with `pwritev` and stamps
+  /// a fresh trailer per page.
   virtual Status WritePages(PageId first, uint32_t count, const void* buf);
 
   /// Handle for a batch of page reads submitted with `SubmitReads`.
@@ -122,8 +121,9 @@ class Pager {
    public:
     virtual ~ReadBatch() = default;
     virtual Status Await() = 0;
-    /// True when the batch was submitted to an asynchronous engine
-    /// (io_uring) rather than executed by the synchronous fallback.
+    /// True when the batch's reads may still be in flight after
+    /// `SubmitReads` returns. No backend does that; the hook stays because
+    /// the benchmark's pager decorator (`perfbench/timed_io.h`) forwards it.
     virtual bool async() const { return false; }
   };
 
@@ -133,21 +133,19 @@ class Pager {
   /// `ReadPage` per request (so decorators such as `FaultInjectionPager`
   /// observe, and can fault, each page as its own operation — errors are
   /// reported per request at completion time) and returns an
-  /// already-complete handle. The file backend overrides this with an
-  /// io_uring submission when the kernel supports it, falling back to
-  /// vectored synchronous reads otherwise; either way the contents and
-  /// per-request statuses are identical.
+  /// already-complete handle. The file backend overrides this with sorted,
+  /// run-coalesced `preadv` calls (one per run of adjacent pages, at most
+  /// 32 pages each); the contents and per-request statuses are identical.
   virtual std::unique_ptr<ReadBatch> SubmitReads(AsyncPageRead* reqs,
                                                  size_t n);
 
-  /// Toggles asynchronous submission for `SubmitReads` (A/B benchmarking
-  /// and tests). Backends without an async engine ignore it; default on.
+  /// No-op: every backend executes `SubmitReads` synchronously. Kept
+  /// virtual because the benchmark's pager decorator
+  /// (`perfbench/timed_io.h`) overrides and forwards it.
   virtual void SetAsyncReads(bool enabled) { (void)enabled; }
 
-  /// Blocking read syscalls this pager has issued (pread/preadv calls and
-  /// io_uring_enter waits). Zero for backends that do no syscalls. The
-  /// async-read benchmark gates on this: one ring submission covering a
-  /// whole level must replace a chain of per-run preadv calls.
+  /// Read syscalls this pager has issued (one per preadv call). Zero
+  /// for backends that do no syscalls. The async-read benchmark pins it.
   virtual uint64_t read_syscalls() const { return 0; }
 
   /// Flushes OS buffers to stable storage (no-op for the memory backend).

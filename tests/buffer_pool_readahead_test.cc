@@ -140,56 +140,6 @@ TEST_F(BufferPoolReadaheadTest, FlushAllCoalescesAdjacentDirtyPages) {
   EXPECT_EQ(pool.stats().coalesced_writes.load(), coalesced);
 }
 
-TEST_F(BufferPoolReadaheadTest, AsyncPrefetchOverlapsWithFinish) {
-  BufferPool pool(pager_.get(), 64, /*partitions=*/1);
-  const auto ids = MakePages(&pool, 16);
-
-  BufferPool cold(pager_.get(), 64, 1);
-  AsyncPrefetch batch = cold.PrefetchAsync(ids);
-  // Finish installs every page; fetches afterwards are pure hits.
-  batch.Finish();
-  batch.Finish();  // Idempotent.
-  const uint64_t reads = cold.stats().physical_reads.load();
-  EXPECT_EQ(cold.stats().readahead_pages.load(), ids.size());
-  for (PageId id : ids) {
-    auto p = cold.Fetch(id);
-    ASSERT_TRUE(p.ok());
-    PageId stamped;
-    std::memcpy(&stamped, p->data(), sizeof(PageId));
-    EXPECT_EQ(stamped, id);
-  }
-  EXPECT_EQ(cold.stats().physical_reads.load(), reads);
-  EXPECT_EQ(cold.stats().readahead_hits.load(), ids.size());
-}
-
-TEST_F(BufferPoolReadaheadTest, AsyncPrefetchFinishesOnDestructionAndMove) {
-  BufferPool pool(pager_.get(), 64, /*partitions=*/1);
-  const auto ids = MakePages(&pool, 12);
-
-  BufferPool cold(pager_.get(), 64, 1);
-  {
-    // Dropped without an explicit Finish: the destructor must reap the
-    // batch, leaving no claimed frames behind.
-    AsyncPrefetch dropped = cold.PrefetchAsync({ids[0], ids[1]});
-  }
-  auto p = cold.Fetch(ids[0]);
-  ASSERT_TRUE(p.ok());
-  p->Release();
-
-  // Move-assigning over a pending batch finishes the destination first;
-  // both batches' pages end up installed.
-  AsyncPrefetch a = cold.PrefetchAsync({ids[2], ids[3]});
-  a = cold.PrefetchAsync({ids[4], ids[5]});
-  a.Finish();
-  const uint64_t reads = cold.stats().physical_reads.load();
-  for (PageId id : {ids[2], ids[3], ids[4], ids[5]}) {
-    auto q = cold.Fetch(id);
-    ASSERT_TRUE(q.ok());
-    q->Release();
-  }
-  EXPECT_EQ(cold.stats().physical_reads.load(), reads);
-}
-
 TEST_F(BufferPoolReadaheadTest, StripedPoolPrefetchAndFlushStayCorrect) {
   BufferPool pool(pager_.get(), 256, /*partitions=*/4);
   const auto ids = MakePages(&pool, 64);

@@ -191,10 +191,10 @@ TEST(FlightRecorderTest, RenderTextFormat) {
 
 TEST(FlightRecorderTest, RenderJsonLinesFormat) {
   FlightRecorder rec(64);
-  rec.Emit(EventType::kUringFallback, 12);
+  rec.Emit(EventType::kLeafMigrateV2, 12);
   rec.Emit(EventType::kFaultInjected, 3, 9);
   const std::string json = FlightRecorder::RenderJsonLines(rec.Dump());
-  EXPECT_NE(json.find("\"type\":\"uring_fallback\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"leaf_migrate_v2\""), std::string::npos);
   EXPECT_NE(json.find("\"type\":\"fault_injected\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":[12,0,0,0]"), std::string::npos);
   EXPECT_NE(json.find("\"args\":[3,9,0,0]"), std::string::npos);

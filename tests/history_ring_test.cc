@@ -1,7 +1,7 @@
 // Metrics history ring: scalar collection, in-process rates, ring
 // retention, the sampler thread, and the JSON-lines stats dumper. Also
-// pins the pool's uring/compression gauges to the registry (the metric
-// catalog in docs/observability.md documents them).
+// pins the pool's compression gauges to the registry (the metric catalog
+// in docs/observability.md documents them).
 
 #include "obs/history_ring.h"
 
@@ -164,8 +164,7 @@ TEST(StatsDumperTest, JsonLinesFormatIsSelfContained) {
   std::vector<std::string> lines;
   {
     StatsDumper dumper(&registry, std::chrono::milliseconds(60000),
-                       [&lines](const std::string& s) { lines.push_back(s); },
-                       StatsDumper::Format::kJsonLines);
+                       [&lines](const std::string& s) { lines.push_back(s); });
     dumper.Stop();  // Forces the final dump without waiting out the period.
   }
   ASSERT_EQ(lines.size(), 1u);
@@ -179,19 +178,19 @@ TEST(StatsDumperTest, JsonLinesFormatIsSelfContained) {
   EXPECT_EQ(line.find('\n'), line.size() - 1);
 }
 
-TEST(MetricsCatalogTest, PoolRegistersUringAndCompressionGauges) {
+TEST(MetricsCatalogTest, PoolRegistersCompressionGauges) {
   MetricsRegistry registry;
   auto pager = Pager::OpenMemory();
   BufferPool pool(pager.get(), 64, /*partitions=*/0, &registry);
   const std::string prom = registry.RenderPrometheus();
-  // PR-10's IoStats counters must stay visible as registry gauges — the
-  // docs/observability.md catalog documents exactly these names.
+  // The leaf-compression IoStats counters must stay visible as registry
+  // gauges — the docs/observability.md catalog documents exactly these
+  // names. The read path has one engine, so no engine-specific series.
   for (const char* name :
-       {"swst_pager_uring_submits_total", "swst_pager_uring_completions_total",
-        "swst_pager_uring_fallbacks_total", "swst_pool_pages_compressed",
-        "swst_pool_compression_saved_bytes"}) {
+       {"swst_pool_pages_compressed", "swst_pool_compression_saved_bytes"}) {
     EXPECT_NE(prom.find(name), std::string::npos) << name;
   }
+  EXPECT_EQ(prom.find("uring"), std::string::npos);
 }
 
 }  // namespace

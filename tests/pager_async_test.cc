@@ -12,10 +12,8 @@ namespace swst {
 namespace {
 
 // SubmitReads must behave identically — contents and per-request statuses —
-// across the memory backend, the file backend's synchronous fallback, and
-// the io_uring engine when the kernel provides one. The tests therefore run
-// against both backends and, on the file backend, against both values of
-// SetAsyncReads.
+// on the memory backend and on the file backend's run-coalesced preadv
+// path. The tests therefore run against both backends.
 class PagerAsyncTest : public ::testing::TestWithParam<bool> {
  protected:
   // Parameter: true = file backend, false = memory backend.
@@ -60,8 +58,8 @@ TEST_P(PagerAsyncTest, ScatteredBatchReturnsExactContents) {
   auto pager = Open();
   const auto ids = AllocateAndWrite(pager.get(), 40);
 
-  // Scattered order with embedded adjacent runs — both the run-coalescing
-  // fallback and the per-page ring path must cope.
+  // Scattered order with embedded adjacent runs — the file backend sorts
+  // and coalesces them, the memory backend reads page by page.
   std::vector<PageId> order;
   for (size_t i = 0; i < ids.size(); i += 4) {
     order.push_back(ids[i]);
@@ -97,60 +95,58 @@ TEST_P(PagerAsyncTest, EmptyBatchCompletesImmediately) {
   EXPECT_TRUE(batch->Await().ok());  // Await is idempotent.
 }
 
-TEST_P(PagerAsyncTest, SyncAndAsyncModesAgree) {
+// Exact read-syscall cost of each read shape: a single page is one preadv
+// over {payload, trailer}; a batch costs one preadv per run of adjacent
+// page ids, whatever order the requests arrive in, and a run longer than
+// kIovPages (32) pages costs one per 32-page chunk. The memory backend
+// issues none.
+TEST_P(PagerAsyncTest, ReadSyscallsArePinnedPerRun) {
   auto pager = Open();
-  const auto ids = AllocateAndWrite(pager.get(), 16);
+  const auto ids = AllocateAndWrite(pager.get(), 100);
+  const uint64_t unit = GetParam() ? 1 : 0;
 
-  std::vector<std::vector<char>> a(ids.size(), std::vector<char>(kPageSize));
-  std::vector<std::vector<char>> b(ids.size(), std::vector<char>(kPageSize));
-  for (int round = 0; round < 2; ++round) {
-    pager->SetAsyncReads(round == 0);
-    auto& bufs = round == 0 ? a : b;
-    std::vector<AsyncPageRead> reqs(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      reqs[i].id = ids[i];
+  std::vector<char> buf(kPageSize);
+  uint64_t before = pager->read_syscalls();
+  ASSERT_TRUE(pager->ReadPage(ids[7], buf.data()).ok());
+  EXPECT_EQ(pager->read_syscalls() - before, unit);
+
+  // Each case lists its page indices in submission order and its cost.
+  struct Case {
+    std::vector<size_t> pages;
+    uint64_t syscalls;
+  };
+  std::vector<Case> cases;
+  Case scattered{{}, 12};  // Every other page: 12 runs of one.
+  for (size_t i = 0; i < 24; i += 2) scattered.pages.push_back(i);
+  cases.push_back(scattered);
+  // Runs of 3, 1 and 5 pages, submitted out of order: 3 runs.
+  cases.push_back({{44, 30, 41, 31, 40, 36, 32, 42, 43}, 3});
+  Case long_run{{}, 3};  // 70 adjacent pages: chunks of 32, 32 and 6.
+  for (size_t i = 0; i < 70; ++i) long_run.pages.push_back(69 - i);
+  cases.push_back(long_run);
+  Case mixed{{}, 3};  // A 33-page run (2 chunks), a hole, a 2-page run.
+  for (size_t i = 50; i < 83; ++i) mixed.pages.push_back(i);
+  mixed.pages.push_back(84);
+  mixed.pages.push_back(85);
+  cases.push_back(mixed);
+
+  std::vector<char> want(kPageSize);
+  for (const Case& c : cases) {
+    std::vector<std::vector<char>> bufs(c.pages.size(),
+                                        std::vector<char>(kPageSize));
+    std::vector<AsyncPageRead> reqs(c.pages.size());
+    for (size_t i = 0; i < c.pages.size(); ++i) {
+      reqs[i].id = ids[c.pages[i]];
       reqs[i].buf = bufs[i].data();
     }
-    auto batch = pager->SubmitReads(reqs.data(), reqs.size());
-    ASSERT_TRUE(batch->Await().ok());
-    for (const auto& r : reqs) EXPECT_TRUE(r.status.ok());
-    if (round == 1) {
-      EXPECT_FALSE(batch->async());
+    before = pager->read_syscalls();
+    ASSERT_TRUE(pager->SubmitReads(reqs.data(), reqs.size())->Await().ok());
+    EXPECT_EQ(pager->read_syscalls() - before, unit * c.syscalls)
+        << c.pages.size() << "-page batch";
+    for (size_t i = 0; i < c.pages.size(); ++i) {
+      FillPattern(want.data(), reqs[i].id);
+      EXPECT_EQ(std::memcmp(bufs[i].data(), want.data(), kPageSize), 0);
     }
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(std::memcmp(a[i].data(), b[i].data(), kPageSize), 0);
-  }
-  pager->SetAsyncReads(true);
-}
-
-TEST_P(PagerAsyncTest, BatchedReadsCostAtMostOneSyscallWhenAsync) {
-  auto pager = Open();
-  const auto ids = AllocateAndWrite(pager.get(), 24);
-
-  // Every other page: the holes defeat run coalescing in the fallback
-  // (which sorts, then issues one preadv per adjacent run), so only a
-  // real ring can serve the batch in a single syscall.
-  std::vector<AsyncPageRead> reqs;
-  for (size_t i = 0; i < ids.size(); i += 2) {
-    reqs.push_back(AsyncPageRead{ids[i], nullptr, Status::OK()});
-  }
-  std::vector<std::vector<char>> bufs(reqs.size(),
-                                      std::vector<char>(kPageSize));
-  for (size_t i = 0; i < reqs.size(); ++i) reqs[i].buf = bufs[i].data();
-
-  const uint64_t before = pager->read_syscalls();
-  auto batch = pager->SubmitReads(reqs.data(), reqs.size());
-  ASSERT_TRUE(batch->Await().ok());
-  const uint64_t delta = pager->read_syscalls() - before;
-  if (batch->async()) {
-    // One io_uring_enter submits-and-waits the entire scattered batch.
-    EXPECT_EQ(delta, 1u);
-  } else if (GetParam()) {
-    // Synchronous fallback: one preadv per adjacent run.
-    EXPECT_GE(delta, 2u);
-  } else {
-    EXPECT_EQ(delta, 0u);  // Memory backend does no syscalls.
   }
 }
 

@@ -32,13 +32,14 @@ The "window_maintenance" bench is gated on the paper's §IV-C claim:
 wholesale tree-drop expiry must not cost more node accesses than the
 per-entry-deletion baseline.
 
-The "async_read" bench gets the ISSUE's storage-speed gates on the
-CURRENT file: every configuration must report the identical result_hash
-(compression and async io change nothing but cost); with a ring available
-(uring_available) each encoding's sync point must pay at least 1.5x the
-read syscalls per query of its async point; and the v1 encoding must
-touch at least 1.3x the leaf pages per query of prefix-compressed v2,
-whose build must report a nonzero pages_compressed.
+The "async_read" bench gets exact pins and a compression gate: its read
+path is deterministic, so each encoding's row (matched by "encoding")
+must report the baseline's read_syscalls, leaf_pages_per_query,
+node_accesses and result_hash — no more, no fewer rows; and the v1
+encoding must touch at least 1.3x the leaf pages per query of
+prefix-compressed v2, whose build must report a nonzero
+pages_compressed. The bench itself aborts unless both encodings return
+the identical result stream.
 
 The "concurrent_scaling" bench additionally gets *numeric* gates on the
 CURRENT file (the fresh run, not the baseline), protecting the lock-free
@@ -66,10 +67,9 @@ read path from regressing back to lock-based behavior:
     real slowdown, which lowers every pair, still does.
 
 The "fig7_insertion_io" bench gets an *exact* gate: its insertion I/O is
-deterministic (identical in io_uring and no-io-uring builds), so every
-"fig7" row (matched by "objects") must report the baseline's
-swst_insert_io and mv3r_insert_io, and every "write_path" result
-(matched by mode and batch_size) the baseline's pages_read and
+deterministic, so every "fig7" row (matched by "objects") must report
+the baseline's swst_insert_io and mv3r_insert_io, and every "write_path"
+result (matched by mode and batch_size) the baseline's pages_read and
 pages_written — no more, no fewer rows. A change that moves them must
 regenerate the baseline and explain the diff.
 
@@ -226,50 +226,23 @@ def check_window_maintenance_gates(cur, errors):
             f"{io['rtree3d_per_entry_delete']}")
 
 
-def check_async_read_gates(cur, errors):
-    """Numeric gates for the async_read bench (see module doc)."""
-    results = cur.get("results")
-    if not isinstance(results, list):
-        errors.append("results: missing or not a list")
+def check_async_read_gates(cur, base, errors):
+    """Exact pins and compression gate for async_read (see module doc)."""
+    check_exact_rows(cur, base, ASYNC_READ_EXACT, errors)
+    rows = {r.get("encoding"): r for r in cur.get("results") or []
+            if isinstance(r, dict)}
+    if "v1" not in rows or "v2" not in rows:
+        errors.append("results: need a v1 and a v2 row")
         return
-    points = {}
-    for i, r in enumerate(results):
-        if not isinstance(r, dict):
-            continue
-        points[(r.get("encoding"), r.get("io"))] = (i, r)
-    for key in (("v1", "sync"), ("v1", "async"),
-                ("v2", "sync"), ("v2", "async")):
-        if key not in points:
-            errors.append(f"results: no {key[0]}/{key[1]} point")
-    if len(points) < 4 or len(results) < 4:
-        return
-
-    hashes = {r.get("result_hash") for _, r in points.values()}
-    if len(hashes) != 1 or not all(isinstance(h, str) for h in hashes):
-        errors.append(
-            f"result_hash: configurations disagree ({sorted(map(str, hashes))}"
-            f") — compression/async io changed query results")
-
-    if cur.get("uring_available") is True:
-        for enc in ("v1", "v2"):
-            sync = points[(enc, "sync")][1].get("syscalls_per_query")
-            asyn = points[(enc, "async")][1].get("syscalls_per_query")
-            if not (is_number(sync) and is_number(asyn)):
-                errors.append(f"{enc}: missing syscalls_per_query")
-            elif asyn > 0 and sync < 1.5 * asyn:
-                errors.append(
-                    f"{enc}: async reads save too little — {sync:.2f} sync "
-                    f"vs {asyn:.2f} async read syscalls/query (< 1.5x)")
-
-    v1_pages = points[("v1", "sync")][1].get("leaf_pages_per_query")
-    v2_pages = points[("v2", "sync")][1].get("leaf_pages_per_query")
+    v1_pages = rows["v1"].get("leaf_pages_per_query")
+    v2_pages = rows["v2"].get("leaf_pages_per_query")
     if not (is_number(v1_pages) and is_number(v2_pages)):
         errors.append("leaf_pages_per_query: missing")
     elif v2_pages > 0 and v1_pages < 1.3 * v2_pages:
         errors.append(
             f"compression: v1 touches {v1_pages:.2f} leaf pages/query vs "
             f"v2's {v2_pages:.2f} (< 1.3x reduction)")
-    compressed = points[("v2", "sync")][1].get("pages_compressed")
+    compressed = rows["v2"].get("pages_compressed")
     if not is_number(compressed) or compressed <= 0:
         errors.append("v2 build reports no compressed pages")
 
@@ -359,11 +332,16 @@ FIG7_EXACT = (
     ("write_path.results", ("mode", "batch_size"),
      ("pages_read", "pages_written")),
 )
+ASYNC_READ_EXACT = (
+    ("results", ("encoding",),
+     ("read_syscalls", "leaf_pages_per_query", "node_accesses",
+      "result_hash")),
+)
 
 
-def check_fig7_gates(cur, base, errors):
-    """Exact counter gate for the fig7_insertion_io bench (see module doc)."""
-    for path, id_keys, exact in FIG7_EXACT:
+def check_exact_rows(cur, base, spec, errors):
+    """Rows of each listed path must match the baseline's exactly."""
+    for path, id_keys, exact in spec:
         rows = {}
         for name, doc in (("current", cur), ("baseline", base)):
             node = doc
@@ -387,6 +365,11 @@ def check_fig7_gates(cur, base, errors):
         for key in sorted(rows["current"].keys() - rows["baseline"].keys(),
                           key=str):
             errors.append(f"{path} {key}: row absent in baseline")
+
+
+def check_fig7_gates(cur, base, errors):
+    """Exact counter gate for the fig7_insertion_io bench (see module doc)."""
+    check_exact_rows(cur, base, FIG7_EXACT, errors)
 
 
 def main(argv):
@@ -415,7 +398,7 @@ def main(argv):
     if cur.get("bench") == "concurrent_scaling":
         check_scaling_gates(cur, errors)
     if cur.get("bench") == "async_read":
-        check_async_read_gates(cur, errors)
+        check_async_read_gates(cur, base, errors)
     if cur.get("bench") == "live_tier":
         check_live_tier_gates(cur, errors)
     if cur.get("bench") == "window_maintenance":

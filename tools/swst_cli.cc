@@ -370,11 +370,8 @@ int RunVerify(const CliConfig& cfg) {
         static_cast<unsigned long long>(io.readahead_pages.load()),
         static_cast<unsigned long long>(io.readahead_hits.load()));
     std::printf(
-        "verify: uring submits=%llu completions=%llu fallbacks=%llu "
-        "pages_compressed=%llu compression_saved_bytes=%llu\n",
-        static_cast<unsigned long long>(io.uring_submits.load()),
-        static_cast<unsigned long long>(io.uring_completions.load()),
-        static_cast<unsigned long long>(io.uring_fallbacks.load()),
+        "verify: compression pages_compressed=%llu "
+        "compression_saved_bytes=%llu\n",
         static_cast<unsigned long long>(io.pages_compressed.load()),
         static_cast<unsigned long long>(io.compression_saved_bytes.load()));
   } else {
@@ -672,8 +669,7 @@ int main(int argc, char** argv) {
   if (cfg.stats_dump_ms > 0) {
     dumper = std::make_unique<obs::StatsDumper>(
         &registry, std::chrono::milliseconds(cfg.stats_dump_ms),
-        [](const std::string& json) { std::fputs(json.c_str(), stderr); },
-        obs::StatsDumper::Format::kJsonLines);
+        [](const std::string& json) { std::fputs(json.c_str(), stderr); });
   }
 
   std::unordered_map<ObjectId, Entry> open_entries;
