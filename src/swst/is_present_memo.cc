@@ -103,6 +103,14 @@ void IsPresentMemo::AddN(uint32_t cell, int slot, uint32_t column, uint32_t dp,
   s.count.store(static_cast<uint16_t>(std::min<size_t>(count + n,
                                                        kSaturatedCount)),
                 std::memory_order_relaxed);
+  m.min_x.store(std::min(mbr.lo_x, m.min_x.load(std::memory_order_relaxed)),
+                std::memory_order_relaxed);
+  m.min_y.store(std::min(mbr.lo_y, m.min_y.load(std::memory_order_relaxed)),
+                std::memory_order_relaxed);
+  m.max_x.store(std::max(mbr.hi_x, m.max_x.load(std::memory_order_relaxed)),
+                std::memory_order_relaxed);
+  m.max_y.store(std::max(mbr.hi_y, m.max_y.load(std::memory_order_relaxed)),
+                std::memory_order_relaxed);
   m.count.store(m.count.load(std::memory_order_relaxed) +
                     static_cast<uint32_t>(n),
                 std::memory_order_relaxed);
@@ -139,6 +147,10 @@ void IsPresentMemo::ResetSlot(uint32_t cell, int slot, uint64_t ver) {
     AtomicCellStat* col = &stats_[Index(cell, slot, column, 0)];
     BeginWrite(m);
     m.count.store(0, std::memory_order_relaxed);
+    m.min_x.store(kEmptyMin, std::memory_order_relaxed);
+    m.min_y.store(kEmptyMin, std::memory_order_relaxed);
+    m.max_x.store(0, std::memory_order_relaxed);
+    m.max_y.store(0, std::memory_order_relaxed);
     for (uint32_t dp = 0; dp < d_slots_; ++dp) {
       col[dp].count.store(0, std::memory_order_relaxed);
       col[dp].min_x.store(0, std::memory_order_relaxed);
@@ -209,15 +221,21 @@ bool IsPresentMemo::TrimColumn(uint32_t cell, int slot, uint32_t column,
            col[dp].min_y.load(std::memory_order_relaxed) <= q.hi_y &&
            q.lo_y <= col[dp].max_y.load(std::memory_order_relaxed);
   };
+  assert(*n_start <= *n_end && *n_end < d_slots_);
   for (int retry = 0; retry < kSeqlockRetries; ++retry) {
     const uint32_t s1 = m.seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;
-    // Slots past the memo's (the reserved current-entry d-partition) are
-    // empty, so the trim never looks beyond the last memo slot.
     uint32_t lo = *n_start;
-    uint32_t hi = std::min(*n_end, d_slots_ - 1);
-    if (m.count.load(std::memory_order_relaxed) == 0) {
-      lo = hi + 1;  // Empty column: pruned without reading its stats.
+    uint32_t hi = *n_end;
+    // An empty column, or one whose MBR (a superset of every non-empty
+    // d-slot's) misses the overlap, is pruned from its ColMeta alone,
+    // without reading its stats.
+    if (m.count.load(std::memory_order_relaxed) == 0 ||
+        m.min_x.load(std::memory_order_relaxed) > q.hi_x ||
+        q.lo_x > m.max_x.load(std::memory_order_relaxed) ||
+        m.min_y.load(std::memory_order_relaxed) > q.hi_y ||
+        q.lo_y > m.max_y.load(std::memory_order_relaxed)) {
+      lo = hi + 1;
     } else {
       while (lo <= hi && !intersects(lo)) lo++;
       while (hi > lo && !intersects(hi)) hi--;

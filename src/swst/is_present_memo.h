@@ -53,12 +53,14 @@ namespace swst {
 /// ## Columns
 ///
 /// The stats of one (cell, slot, column) — its d-partitions — are stored
-/// contiguously. Alongside them each column keeps its exact entry count;
-/// `TrimColumn` rejects a column whose count is 0 with one load, without
-/// touching its stats (most columns a query overlaps are empty). Closed
-/// entries alone reach the memo — current entries live in the in-memory
-/// live tier — so a column has `Dp` d-slots and no slot for the reserved
-/// current-entry d-partition; `TrimColumn` treats that partition as empty.
+/// contiguously. Alongside them each column keeps, next to its seqlock
+/// word, its exact entry count and the union of its d-slots' MBRs;
+/// `TrimColumn` rejects a column whose count is 0 or whose MBR misses the
+/// query's overlap from those 24 bytes, without touching its stats (most
+/// columns a query overlaps are rejected this way). Closed entries
+/// alone reach the memo — current entries live in the in-memory live tier
+/// — so a column has `Dp` d-slots, and queries never plan the reserved
+/// current-entry d-partition.
 ///
 /// ## Concurrency
 ///
@@ -155,10 +157,10 @@ class IsPresentMemo {
   /// `*n_end` down past the temporal cells of one column whose stats
   /// cannot intersect `overlap` (quantized by `Quantize` for this cell),
   /// exactly as the caller's own trim loops over a `ReadColumn` copy would
-  /// — but touching only the stats those loops actually inspect: an empty
-  /// column costs one count load, an empty temporal cell one more. Slots
-  /// at or past `d_slots()` (the reserved current-entry d-partition) count
-  /// as empty. Requires `*n_start <= *n_end`. Post-condition on success:
+  /// — but touching only the stats those loops actually inspect: a column
+  /// that is empty or whose MBR misses `overlap` is decided from its
+  /// `ColMeta` alone, an empty temporal cell costs one more load.
+  /// Requires `*n_start <= *n_end < d_slots()`. Post-condition on success:
   /// either `*n_start == *n_end + 1` (the whole column is pruned) or the
   /// cells at `*n_start` and `*n_end` intersect. Returns true iff the trim
   /// was computed from a consistent view (bounded seqlock retries) last
@@ -168,15 +170,25 @@ class IsPresentMemo {
                   uint64_t snapshot_version, const QRect& overlap,
                   uint32_t* n_start, uint32_t* n_end) const;
 
+  /// The column's MBR, on `cell`'s lattice (`lo` above `hi` while it has
+  /// none). Same caveat as `At`.
+  QRect ColumnMbr(uint32_t cell, int slot, uint32_t column) const {
+    const ColMeta& m = meta_[ColIndex(cell, slot, column)];
+    return QRect{m.min_x.load(std::memory_order_relaxed),
+                 m.min_y.load(std::memory_order_relaxed),
+                 m.max_x.load(std::memory_order_relaxed),
+                 m.max_y.load(std::memory_order_relaxed)};
+  }
+
   /// Exact number of entries in one column. Same caveat as `At`.
   uint32_t ColumnCount(uint32_t cell, int slot, uint32_t column) const {
     return meta_[ColIndex(cell, slot, column)].count.load(
         std::memory_order_relaxed);
   }
 
-  /// Bytes of statistical state (paper §V-E reports 25 MB at defaults).
-  /// Excludes the per-column seqlock/count/version words, which are
-  /// bookkeeping rather than statistics.
+  /// Bytes of per-temporal-cell statistics (paper §V-E reports 25 MB at
+  /// defaults). Excludes the 24-byte per-column `ColMeta` (seqlock, count,
+  /// version and column MBR).
   size_t MemoryUsage() const { return n_stats_ * sizeof(CellStat); }
 
   /// Number of temporal cells currently holding at least one entry.
@@ -211,15 +223,23 @@ class IsPresentMemo {
     double sx, sy;  ///< Lattice steps per domain unit.
   };
 
-  /// Seqlock, exact entry count and last-writer version of one
-  /// (cell, slot, column) column. The count fills what would otherwise be
-  /// padding before `ver`.
+  /// Lower MBR bound of a column with no MBR yet: above every upper bound.
+  static constexpr uint16_t kEmptyMin = 0xFFFF;
+
+  /// Seqlock, exact entry count, last-writer version and MBR of one
+  /// (cell, slot, column) column, 24 bytes. The count fills what would
+  /// otherwise be padding before `ver`. The MBR is the union of the
+  /// column's d-slot MBRs (same lattice): `AddN` widens it, `Remove`
+  /// leaves it (a superset stays safe to prune with), and `ResetSlot`
+  /// empties it (min above max), so it covers every non-empty d-slot.
   struct ColMeta {
     std::atomic<uint32_t> seq{0};    ///< Odd while a write is in progress.
     std::atomic<uint32_t> count{0};  ///< Entries in the column's d-slots.
     std::atomic<uint64_t> ver{0};    ///< Shard version of the last write.
+    std::atomic<uint16_t> min_x{kEmptyMin}, min_y{kEmptyMin};
+    std::atomic<uint16_t> max_x{0}, max_y{0};
   };
-  static_assert(sizeof(ColMeta) == 16);
+  static_assert(sizeof(ColMeta) == 24);
 
   size_t Index(uint32_t cell, int slot, uint32_t column, uint32_t dp) const {
     return ((static_cast<size_t>(cell) * 2 + slot) * sp_ + column) * d_slots_ +

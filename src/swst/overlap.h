@@ -16,14 +16,16 @@ enum class OverlapKind {
   kFull,     ///< Every entry of the cell satisfies it; no refinement.
 };
 
-/// Per-s-partition-column classification of d-partitions against a query
-/// (the paper's triplet (so_i, do_ip, do_if)): d-partitions below
-/// `n_partial` have no overlap, those in [n_partial, n_full) a partial
-/// overlap, and those in [n_full, d_slots) a full overlap.
+/// Per-s-partition-column classification of the closed d-partitions
+/// against a query (the paper's triplet (so_i, do_ip, do_if)): d-partitions
+/// below `n_partial` have no overlap, those in [n_partial, n_full) a
+/// partial overlap, and those in [n_full, Dp) a full overlap. The reserved
+/// current-entry partition `Dp` is never classified: the B+ trees hold
+/// closed entries only, and current ones live in the memory tier.
 struct ColumnOverlap {
   uint64_t raw_column = 0;  ///< m: the column covers starts [m*L, (m+1)*L).
-  uint32_t n_partial = 0;
-  uint32_t n_full = 0;  ///< == d_slots when no d-partition is fully covered.
+  uint32_t n_partial = 0;   ///< < Dp: every returned column overlaps.
+  uint32_t n_full = 0;  ///< == Dp when no d-partition is fully covered.
   /// True iff every start timestamp of the column lies inside the
   /// queriable period — when false, "full" cells are demoted to partial so
   /// the refinement step can reject expired entries (window boundary
@@ -49,15 +51,15 @@ class TemporalOverlapComputer {
   /// d-partition `dp`) against query interval `q`.
   ///
   /// Cell bounds: starts s in [m*L, (m+1)*L); closed durations d in
-  /// [dp*delta + 1, min((dp+1)*delta, Dmax)]; the reserved partition
-  /// dp == Dp holds current entries (end = infinity).
+  /// [dp*delta + 1, min((dp+1)*delta, Dmax)]. Requires `dp < Dp`.
   OverlapKind Classify(uint64_t m, uint32_t dp, const TimeInterval& q) const;
 
   /// Classification for all columns intersecting the queriable period
-  /// [win.lo, win.hi], restricted to those that can overlap `q` (which must
-  /// already be clamped into the window). Columns are returned in
-  /// ascending raw order; columns with no overlapping d-partition are
-  /// omitted.
+  /// [win.lo, win.hi], restricted to those whose closed entries can overlap
+  /// `q` (which must already be clamped into the window): the scan starts
+  /// at column max(win.lo, q.lo - Dmax) / L, below which no closed entry
+  /// ends after q.lo. Columns are returned in ascending raw order; columns
+  /// with no overlapping closed d-partition are omitted.
   std::vector<ColumnOverlap> Compute(const TimeInterval& q,
                                      const TimeInterval& win) const;
 
@@ -65,7 +67,7 @@ class TemporalOverlapComputer {
   Timestamp slide_;
   Duration delta_;
   Duration dmax_;
-  uint32_t dp_current_;  ///< Index of the current-entry partition (== Dp).
+  uint32_t d_partitions_;  ///< Dp: closed d-partitions are [0, Dp).
 };
 
 }  // namespace swst

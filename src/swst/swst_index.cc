@@ -744,7 +744,6 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
   const CellTrees& ct = snap->cells[co.cell - shard.cell_begin];
   const uint32_t local_cell = co.cell - shard.cell_begin;
   const Rect cell_rect = grid_.CellRect(co.cell);
-  const uint32_t d_slots = options_.d_partition_slots();
 
   // --- Hot tier: scan the snapshot's live bucket first (zero page I/O).
   // Emission order is live-then-disk per cell, identical for serial,
@@ -825,7 +824,7 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
       continue;  // No live tree for this column's epoch in this cell.
     }
     uint32_t n_start = col.n_partial;
-    uint32_t n_end = d_slots - 1;
+    uint32_t n_end = options_.d_partitions() - 1;  // Trees hold closed only.
     if (options_.use_memo &&
         shard.memo.TrimColumn(local_cell, slot, col.m_local, snap->version,
                               memo_overlap, &n_start, &n_end)) {

@@ -20,6 +20,23 @@
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 
+// Under AddressSanitizer, ASan's own SIGSEGV handler pre-empts the one
+// BlackBox::Install sets, and once BlackBox re-raises through the previous
+// disposition it lands in ASan's handler again, so a fatal-signal child
+// would print an ASan report instead of the dump and not die by SIGSEGV.
+// handle_segv=0 leaves SIGSEGV to the program. ASAN_OPTIONS from the
+// environment are applied on top of these defaults.
+#if defined(__SANITIZE_ADDRESS__)
+#define SWST_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SWST_TEST_ASAN 1
+#endif
+#endif
+#ifdef SWST_TEST_ASAN
+extern "C" const char* __asan_default_options() { return "handle_segv=0"; }
+#endif
+
 namespace swst {
 namespace obs {
 namespace {

@@ -243,13 +243,12 @@ TEST(IsPresentMemoTest, QuantizedPruningNeverDropsAContainedPoint) {
 }
 
 // The trim loops of SearchCell over a ReadColumn copy: the reference
-// TrimColumn must reproduce. d-slots at or past `d_slots` (the reserved
-// current-entry d-partition) are empty.
+// TrimColumn must reproduce.
 std::pair<uint32_t, uint32_t> ReferenceTrim(
     const std::vector<IsPresentMemo::CellStat>& col,
     const IsPresentMemo::QRect& q, uint32_t lo, uint32_t hi) {
   auto hit = [&](uint32_t dp) {
-    if (dp >= col.size() || col[dp].empty()) return false;
+    if (col[dp].empty()) return false;
     return col[dp].min_x <= q.hi_x && q.lo_x <= col[dp].max_x &&
            col[dp].min_y <= q.hi_y && q.lo_y <= col[dp].max_y;
   };
@@ -259,9 +258,9 @@ std::pair<uint32_t, uint32_t> ReferenceTrim(
 }
 
 // Random Add/AddN/Remove/ResetSlot sequences: after every step each
-// column's exact count equals the sum of its d-slot counts, and TrimColumn
-// agrees with the reference trim for random quantized overlaps and bounds
-// (up to and including the reserved slot one past the memo's).
+// column's exact count equals the sum of its d-slot counts, its MBR
+// contains every non-empty d-slot's MBR, and TrimColumn agrees with the
+// reference trim for random quantized overlaps and bounds.
 TEST(IsPresentMemoTest, RandomOpsKeepColumnCountAndTrimExact) {
   constexpr uint32_t kCells = 3, kCols = 4, kDSlots = 6;
   IsPresentMemo memo(Cells(kCells), kCols, kDSlots);
@@ -306,6 +305,13 @@ TEST(IsPresentMemoTest, RandomOpsKeepColumnCountAndTrimExact) {
           uint32_t sum = 0;
           for (const auto& st : copy) sum += st.count;
           ASSERT_EQ(memo.ColumnCount(c, s, k), sum) << "step " << step;
+          const IsPresentMemo::QRect mbr = memo.ColumnMbr(c, s, k);
+          for (const auto& st : copy) {
+            if (st.empty()) continue;
+            ASSERT_TRUE(mbr.lo_x <= st.min_x && mbr.lo_y <= st.min_y &&
+                        st.max_x <= mbr.hi_x && st.max_y <= mbr.hi_y)
+                << "column MBR misses a d-slot at step " << step;
+          }
 
           const double x0 = rng.UniformDouble(0, 1000);
           const double y0 = rng.UniformDouble(0, 1000);
@@ -313,7 +319,7 @@ TEST(IsPresentMemoTest, RandomOpsKeepColumnCountAndTrimExact) {
               c, Rect{{x0, y0},
                       {x0 + rng.UniformDouble(0, 600),
                        y0 + rng.UniformDouble(0, 600)}});
-          uint32_t hi = static_cast<uint32_t>(rng.Uniform(kDSlots + 1));
+          uint32_t hi = static_cast<uint32_t>(rng.Uniform(kDSlots));
           uint32_t lo = static_cast<uint32_t>(rng.Uniform(hi + 1));
           const auto want = ReferenceTrim(copy, q, lo, hi);
           ASSERT_TRUE(memo.TrimColumn(c, s, k, ver, q, &lo, &hi));
@@ -369,36 +375,6 @@ TEST(IsPresentMemoTest, SaturatedCountSticksUntilResetSlot) {
   memo.ResetSlot(0, 0, /*ver=*/6);
   EXPECT_TRUE(memo.At(0, 0, 1, 2).empty());
   EXPECT_EQ(memo.ColumnCount(0, 0, 1), 0u);
-}
-
-// SearchCell trims up to the reserved current-entry d-partition, one past
-// the memo's last slot. That partition reads as empty: a column whose only
-// overlapping partition is the reserved one is pruned, even when the
-// column holds entries elsewhere.
-TEST(IsPresentMemoTest, TrimTreatsReservedSlotAsEmpty) {
-  constexpr uint32_t kDSlots = 4;  // Reserved partition index: 4.
-  IsPresentMemo memo(Cells(1), 1, kDSlots);
-  const IsPresentMemo::QRect all = memo.Quantize(0, Rect{{0, 0}, {1000, 1000}});
-  memo.Add(0, 0, 0, 3, {10, 10}, /*ver=*/1);
-
-  uint32_t lo = 0, hi = kDSlots;
-  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 1, all, &lo, &hi));
-  EXPECT_EQ(lo, 3u);
-  EXPECT_EQ(hi, 3u);
-
-  lo = kDSlots;
-  hi = kDSlots;
-  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 1, all, &lo, &hi));
-  EXPECT_EQ(lo, kDSlots + 1);
-  EXPECT_EQ(hi, kDSlots);
-
-  memo.Remove(0, 0, 0, 3, /*ver=*/2);
-  memo.Add(0, 0, 0, 1, {10, 10}, /*ver=*/2);
-  lo = 2;
-  hi = kDSlots;
-  ASSERT_TRUE(memo.TrimColumn(0, 0, 0, 2, all, &lo, &hi));
-  EXPECT_EQ(lo, kDSlots + 1);
-  EXPECT_EQ(hi, kDSlots);
 }
 
 }  // namespace

@@ -16,34 +16,26 @@ SwstOptions SmallOptions() {
   o.window_size = 100;
   o.slide = 10;          // Sp = ceil(109/10) = 11, epoch = 110.
   o.max_duration = 40;
-  o.duration_interval = 10;  // Dp = 4, slots 0..4 (4 = current).
+  o.duration_interval = 10;  // Dp = 4: closed d-partitions 0..3.
   return o;
 }
 
-/// Brute-force classification of temporal cell (m, dp) against query q:
-/// enumerates every (s, d) the cell can hold and checks the overlap
-/// predicate s <= q.hi && s + d > q.lo.
+/// Brute-force classification of closed temporal cell (m, dp) against
+/// query q: enumerates every (s, d) the cell can hold and checks the
+/// overlap predicate s <= q.hi && s + d > q.lo.
 OverlapKind BruteClassify(const SwstOptions& o, uint64_t m, uint32_t dp,
                           const TimeInterval& q) {
   const Timestamp s1 = m * o.slide;
   const Timestamp s2 = (m + 1) * o.slide - 1;
-  const bool current = (dp == o.d_partitions());
-  const Duration d_lo = current ? 0 : dp * o.duration_interval + 1;
-  const Duration d_hi =
-      current ? 0 : std::min<Duration>((dp + 1) * o.duration_interval,
-                                       o.max_duration);
+  const Duration d_lo = dp * o.duration_interval + 1;
+  const Duration d_hi = std::min<Duration>((dp + 1) * o.duration_interval,
+                                           o.max_duration);
   bool any = false, all = true;
   for (Timestamp s = s1; s <= s2; ++s) {
-    if (current) {
-      const bool hit = (s <= q.hi);  // end = infinity.
+    for (Duration d = d_lo; d <= d_hi; ++d) {
+      const bool hit = (s <= q.hi) && (s + d > q.lo);
       any |= hit;
       all &= hit;
-    } else {
-      for (Duration d = d_lo; d <= d_hi; ++d) {
-        const bool hit = (s <= q.hi) && (s + d > q.lo);
-        any |= hit;
-        all &= hit;
-      }
     }
   }
   if (!any) return OverlapKind::kNone;
@@ -56,7 +48,7 @@ TEST(OverlapClassifyTest, MatchesBruteForceExhaustively) {
   TemporalOverlapComputer comp(o);
   // All cells in two epochs x all query intervals over a small horizon.
   for (uint64_t m = 0; m < 22; ++m) {
-    for (uint32_t dp = 0; dp <= o.d_partitions(); ++dp) {
+    for (uint32_t dp = 0; dp < o.d_partitions(); ++dp) {
       for (Timestamp lo = 0; lo < 240; lo += 7) {
         for (Timestamp hi = lo; hi < 260; hi += 13) {
           const TimeInterval q{lo, hi};
@@ -73,7 +65,7 @@ TEST(OverlapClassifyTest, TimesliceMatchesBruteForce) {
   SwstOptions o = SmallOptions();
   TemporalOverlapComputer comp(o);
   for (uint64_t m = 0; m < 15; ++m) {
-    for (uint32_t dp = 0; dp <= o.d_partitions(); ++dp) {
+    for (uint32_t dp = 0; dp < o.d_partitions(); ++dp) {
       for (Timestamp t = 0; t < 220; ++t) {
         const TimeInterval q{t, t};
         ASSERT_EQ(comp.Classify(m, dp, q), BruteClassify(o, m, dp, q))
@@ -81,19 +73,6 @@ TEST(OverlapClassifyTest, TimesliceMatchesBruteForce) {
       }
     }
   }
-}
-
-TEST(OverlapClassifyTest, CurrentPartitionFullWhenColumnBeforeQuery) {
-  SwstOptions o = SmallOptions();
-  TemporalOverlapComputer comp(o);
-  const uint32_t cur = o.d_partitions();
-  // Column 2 covers starts [20, 30); query at t=50: every current entry
-  // started before 50 and never ends -> full.
-  EXPECT_EQ(comp.Classify(2, cur, {50, 50}), OverlapKind::kFull);
-  // Query inside the column's start range -> partial.
-  EXPECT_EQ(comp.Classify(2, cur, {25, 25}), OverlapKind::kPartial);
-  // Query before the column -> none.
-  EXPECT_EQ(comp.Classify(2, cur, {5, 15}), OverlapKind::kNone);
 }
 
 TEST(OverlapComputeTest, ColumnsAscendingAndWithinWindow) {
@@ -117,7 +96,7 @@ TEST(OverlapComputeTest, TripletsMatchPerCellClassification) {
   SwstOptions o = SmallOptions();
   TemporalOverlapComputer comp(o);
   Random rng(31);
-  const uint32_t slots = o.d_partition_slots();
+  const uint32_t dp_n = o.d_partitions();
   for (int trial = 0; trial < 300; ++trial) {
     const Timestamp wlo = rng.Uniform(150);
     const Timestamp whi = wlo + rng.Uniform(120);
@@ -126,12 +105,21 @@ TEST(OverlapComputeTest, TripletsMatchPerCellClassification) {
     const TimeInterval win{wlo, whi}, q{qlo, qhi};
     auto cols = comp.Compute(q, win);
     // Reconstruct the classification per column from the triplet and check
-    // against Classify for every d-partition; verify omitted columns have
-    // no overlap.
+    // against Classify for every closed d-partition; verify every planned
+    // column overlaps, none lies below the reach of a closed entry, and
+    // omitted columns have no overlap.
+    const uint64_t m_reach = qlo > o.max_duration
+                                 ? (qlo - o.max_duration) / o.slide
+                                 : 0;
     std::set<uint64_t> present;
     for (const auto& col : cols) {
       present.insert(col.raw_column);
-      for (uint32_t dp = 0; dp < slots; ++dp) {
+      ASSERT_GE(col.raw_column, m_reach);
+      ASSERT_LT(col.n_partial, dp_n) << "m=" << col.raw_column;
+      ASSERT_NE(comp.Classify(col.raw_column, col.n_partial, q),
+                OverlapKind::kNone)
+          << "m=" << col.raw_column;
+      for (uint32_t dp = 0; dp < dp_n; ++dp) {
         OverlapKind expected = comp.Classify(col.raw_column, dp, q);
         OverlapKind from_triplet =
             dp >= col.n_full ? OverlapKind::kFull
@@ -144,7 +132,7 @@ TEST(OverlapComputeTest, TripletsMatchPerCellClassification) {
     }
     for (uint64_t m = wlo / o.slide; m <= whi / o.slide; ++m) {
       if (present.count(m)) continue;
-      for (uint32_t dp = 0; dp < slots; ++dp) {
+      for (uint32_t dp = 0; dp < dp_n; ++dp) {
         ASSERT_EQ(comp.Classify(m, dp, q), OverlapKind::kNone)
             << "omitted column " << m << " dp=" << dp;
       }
