@@ -11,7 +11,7 @@
 // gated too: v2 leaves pack 2x+ the records of the raw v1 layout for
 // Z-order-adjacent keys, so v1 must touch at least 1.3x the leaf pages.
 //
-// Every phase hashes its full result stream (keys, oids, starts, in
+// Each encoding hashes its full result stream (keys, oids, starts, in
 // order); the bench aborts unless both encodings produce the identical
 // hash — compression must be invisible to results.
 //
@@ -30,7 +30,6 @@
 
 #include "bench/workload.h"
 #include "btree/btree.h"
-#include "btree/btree_iterator.h"
 #include "btree/leaf_codec.h"
 #include "common/random.h"
 #include "storage/buffer_pool.h"
@@ -175,20 +174,6 @@ Phase RunPhase(const Build& build, const char* encoding, uint64_t queries, uint6
     }
     p.node_accesses += accesses;
     if (!level_nodes.empty()) leaf_pages += level_nodes.back();
-
-    // Iterator phase: seek into the middle of the first range and stream
-    // forward — exercises the decoded-leaf cache + sibling readahead.
-    BTreeIterator it(&pool, build.root);
-    uint64_t walked = 0;
-    for (it.Seek(ranges.front().lo); it.Valid() && walked < 512;
-         it.Next(), ++walked) {
-      p.result_hash = HashMix(p.result_hash, it.record().key);
-      p.result_hash = HashMix(p.result_hash, it.record().entry.oid);
-    }
-    if (!it.status().ok()) {
-      std::fprintf(stderr, "iterator: %s\n", it.status().ToString().c_str());
-      std::abort();
-    }
   }
   const auto t1 = std::chrono::steady_clock::now();
   p.wall_ms = std::chrono::duration<double>(t1 - t0).count() * 1e3;

@@ -43,8 +43,8 @@ inline bool IsLeafType(uint16_t type) {
 /// through corrupt child/sibling pointers.
 inline constexpr int kMaxDepth = 64;
 
-/// How many upcoming sibling nodes a scan (Scan, BTreeIterator) hints to
-/// `BufferPool::Prefetch` ahead of reading them. Bounded so a short
+/// How many of an internal node's children `BTree::Scan` hands to
+/// `BufferPool::Prefetch` before descending into them. Bounded so a short
 /// bounded scan does not drag a whole subtree into the pool.
 inline constexpr int kScanReadahead = 16;
 

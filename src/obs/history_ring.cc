@@ -26,11 +26,12 @@ MetricsHistory::MetricsHistory(const MetricsRegistry* registry,
                                Options options)
     : registry_(registry),
       options_([&] {
-        Options o = options;
+        Options o = std::move(options);
         if (o.period.count() <= 0) o.period = std::chrono::milliseconds(1000);
-        if (o.capacity < 2) o.capacity = 2;
         return o;
       }()),
+      capacity_(std::clamp<size_t>(
+          static_cast<size_t>(kRateWindow / options_.period) + 2, 128, 1024)),
       epoch_(std::chrono::steady_clock::now()) {}
 
 MetricsHistory::~MetricsHistory() { Stop(); }
@@ -54,13 +55,14 @@ void MetricsHistory::Stop() {
   thread_.join();
   std::unique_lock<std::mutex> lock(mu_);
   running_ = false;
+  if (options_.sink) SampleAndEmit(lock);
 }
 
 void MetricsHistory::Run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     if (cv_.wait_for(lock, options_.period, [this] { return stop_; })) break;
-    SampleLocked();
+    SampleAndEmit(lock);
   }
 }
 
@@ -69,7 +71,19 @@ void MetricsHistory::SampleNow() {
   SampleLocked();
 }
 
-void MetricsHistory::SampleLocked() {
+void MetricsHistory::SampleAndEmit(std::unique_lock<std::mutex>& lock) {
+  const Sample& s = SampleLocked();
+  if (!options_.sink) return;
+  const std::string head = "{\"ts_ms\": " + std::to_string(s.uptime_ms) +
+                           ", \"seq\": " + std::to_string(s.seq) + ", ";
+  lock.unlock();
+  // RenderJson emits one line that starts with '{': splice its keys into
+  // the envelope. The registry has its own synchronization.
+  options_.sink(head + registry_->RenderJson().substr(1) + "\n");
+  lock.lock();
+}
+
+const MetricsHistory::Sample& MetricsHistory::SampleLocked() {
   Sample s;
   s.seq = samples_taken_.load(std::memory_order_relaxed) + 1;
   s.uptime_ms = static_cast<uint64_t>(
@@ -78,20 +92,19 @@ void MetricsHistory::SampleLocked() {
           .count());
   s.scalars = registry_->CollectScalars();
 
-  if (ring_.size() < options_.capacity) {
+  if (ring_.size() < capacity_) {
     ring_.push_back(std::move(s));
   } else {
     ring_[next_] = std::move(s);
-    next_ = (next_ + 1) % options_.capacity;
+    next_ = (next_ + 1) % capacity_;
   }
   samples_taken_.fetch_add(1, std::memory_order_relaxed);
 
   // Refresh the fatal-handler buffer: fill the non-current one under its
   // seqlock, then publish. Single writer (we hold mu_).
   const Sample& latest =
-      ring_.size() < options_.capacity ? ring_.back()
-                                       : ring_[(next_ + options_.capacity - 1) %
-                                               options_.capacity];
+      ring_.size() < capacity_ ? ring_.back()
+                               : ring_[(next_ + capacity_ - 1) % capacity_];
   const uint32_t target = 1 - current_.load(std::memory_order_relaxed);
   FixedSnap& snap = fixed_[target];
   const uint64_t stamp = latest.seq * 2;
@@ -115,17 +128,18 @@ void MetricsHistory::SampleLocked() {
   snap.len = static_cast<uint32_t>(len);
   snap.seq.store(stamp, std::memory_order_release);
   current_.store(target, std::memory_order_release);
+  return latest;
 }
 
 std::vector<MetricsHistory::Sample> MetricsHistory::Samples() const {
   std::unique_lock<std::mutex> lock(mu_);
   std::vector<Sample> out;
   out.reserve(ring_.size());
-  if (ring_.size() < options_.capacity) {
+  if (ring_.size() < capacity_) {
     out = ring_;
   } else {
     for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(next_ + i) % options_.capacity]);
+      out.push_back(ring_[(next_ + i) % capacity_]);
     }
   }
   return out;

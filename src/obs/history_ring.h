@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,18 +22,31 @@ namespace obs {
 /// reclaim lag) are computable in-process — no external scraper required.
 ///
 /// A sampler thread calls `MetricsRegistry::CollectScalars` every
-/// `period`; the ring keeps the last `capacity` timestamped snapshots.
-/// `Rates()` differences the newest snapshot against one `window` back:
-/// monotonic scalars become per-second rates, instantaneous ones report
-/// their latest value and delta. `Samples()`/`Rates()` are safe from any
-/// thread. The last snapshot is additionally preformatted into a fixed
-/// buffer the fatal black-box handler can write without locks.
+/// `period`; the ring keeps the last `capacity()` timestamped snapshots,
+/// enough to span `kRateWindow`. `Rates()` differences the newest
+/// snapshot against one `window` back: monotonic scalars become
+/// per-second rates, instantaneous ones report their latest value and
+/// delta. `Samples()`/`Rates()` are safe from any thread. The last
+/// snapshot is additionally preformatted into a fixed buffer the fatal
+/// black-box handler can write without locks.
+///
+/// With a `sink`, the sampler also streams the registry as JSON lines
+/// (the CLI's `--stats-dump-ms`): after each periodic sample, and once
+/// more on `Stop()` so short runs still produce one, it passes the sink
+/// one self-contained line,
+/// {"ts_ms": <uptime>, "seq": <sample seq>, ...registry json...}\n.
+/// The registry must outlive the sampler.
 class MetricsHistory {
  public:
   struct Options {
     std::chrono::milliseconds period{1000};
-    size_t capacity = 128;  ///< Snapshots retained (~2 min at 1s cadence).
+    /// Receives each JSON line, on the sampler thread (and on the thread
+    /// calling `Stop()` for the last one), with no lock held. Empty = off.
+    std::function<void(const std::string& json_line)> sink;
   };
+
+  /// The default window of `Rates()` (what `top` and `healthz` report).
+  static constexpr std::chrono::milliseconds kRateWindow{10000};
 
   /// One registry snapshot.
   struct Sample {
@@ -63,6 +77,7 @@ class MetricsHistory {
   void Start();
 
   /// Stops and joins the sampler (idempotent; also run by the destructor).
+  /// With a sink, then takes one final sample and streams it.
   void Stop();
 
   /// Takes one sample synchronously (used by Start, tests, and the CLI
@@ -76,16 +91,16 @@ class MetricsHistory {
   /// `window` older (largest available gap when the ring is younger).
   /// Empty when fewer than two samples exist.
   std::vector<Rate> Rates(
-      std::chrono::milliseconds window = std::chrono::milliseconds(10000)) const;
+      std::chrono::milliseconds window = kRateWindow) const;
 
   /// Renders `Rates(window)`: `name latest=.. delta=.. rate=../s`.
   std::string RenderRatesText(
-      std::chrono::milliseconds window = std::chrono::milliseconds(10000)) const;
+      std::chrono::milliseconds window = kRateWindow) const;
 
   /// JSON object {"window_ms":..,"rates":[{"name","latest","delta",
   /// "per_second"},..]} (per_second only on monotonic scalars).
   std::string RenderRatesJson(
-      std::chrono::milliseconds window = std::chrono::milliseconds(10000)) const;
+      std::chrono::milliseconds window = kRateWindow) const;
 
   /// Async-signal-safe: writes the preformatted latest snapshot to `fd`.
   void WriteLastSampleToFd(int fd) const;
@@ -94,12 +109,22 @@ class MetricsHistory {
     return samples_taken_.load(std::memory_order_relaxed);
   }
 
+  /// Snapshots retained: enough that `Rates(kRateWindow)` has a base
+  /// sample a full window old, and at least 128 (~2 min at the default
+  /// 1 s period). Capped at 1024, so periods under ~10 ms cover less.
+  size_t capacity() const { return capacity_; }
+
  private:
   void Run();
-  void SampleLocked();  ///< Caller holds mu_.
+  /// Takes one sample; caller holds mu_. Returns the new sample.
+  const Sample& SampleLocked();
+  /// Takes one sample and, with a sink, passes it the JSON line with
+  /// `lock` (on mu_) released.
+  void SampleAndEmit(std::unique_lock<std::mutex>& lock);
 
   const MetricsRegistry* const registry_;
   const Options options_;
+  const size_t capacity_;
   const std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;

@@ -1,13 +1,11 @@
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
-#include "obs/slow_query_log.h"
 #include "swst/swst_index.h"
 
 namespace swst {
@@ -39,53 +37,22 @@ Result<std::vector<Entry>> SwstIndex::Knn(const Point& center, size_t k,
                                           const TimeInterval& interval,
                                           const QueryOptions& opts,
                                           QueryStats* stats) {
-  obs::QueryTrace* trace = opts.trace;
-  obs::SlowQueryLog* slow = options_.slow_log;
-  if (m_queries_ == nullptr && trace == nullptr && slow == nullptr) {
-    return KnnImpl(center, k, interval, opts, stats);
-  }
-  // Slow-query sampling, as in IntervalQueryStream: 1-in-N untraced KNN
-  // queries run with an auto-attached trace for the slow log.
-  std::unique_ptr<obs::QueryTrace> sampled;
-  QueryOptions sampled_opts;
-  const QueryOptions* run_opts = &opts;
-  if (trace == nullptr && slow != nullptr && slow->ShouldTrace()) {
-    sampled = std::make_unique<obs::QueryTrace>();
-    sampled_opts = opts;
-    sampled_opts.trace = sampled.get();
-    run_opts = &sampled_opts;
-    trace = sampled.get();
-  }
-  // Same wrapper as IntervalQueryStream: a fresh stats block isolates this
-  // query's counters for the registry and the trace root.
-  QueryStats local;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = KnnImpl(center, k, interval, *run_opts, &local);
-  const uint64_t latency_us = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  RecordQueryMetrics(local, latency_us);
-  if (trace != nullptr) {
-    obs::TraceSpan* root = trace->root();
-    root->AddCounter("node_accesses", local.node_accesses);
-    root->AddCounter("results", local.results);
-    trace->EndSpan(root);
-  }
-  if (slow != nullptr) {
-    if (latency_us >= slow->options().latency_threshold_us ||
-        sampled != nullptr) {
-      char detail[96];
-      std::snprintf(detail, sizeof(detail), "k=%zu t=[%llu,%llu] results=%llu",
-                    k, static_cast<unsigned long long>(interval.lo),
-                    static_cast<unsigned long long>(interval.hi),
-                    static_cast<unsigned long long>(local.results));
-      ReportSlowQuery(slow, latency_us, local, sampled.get(), "knn", detail);
-    } else {
-      slow->NoteFast();
-    }
-  }
-  if (stats != nullptr) *stats += local;
+  Result<std::vector<Entry>> result = std::vector<Entry>{};
+  SWST_RETURN_IF_ERROR(ObserveQuery(
+      "knn", opts, stats,
+      [&](const QueryOptions& o, QueryStats* s) {
+        result = KnnImpl(center, k, interval, o, s);
+        return result.status();
+      },
+      [k, &interval](const QueryStats& s) {
+        char detail[96];
+        std::snprintf(detail, sizeof(detail),
+                      "k=%zu t=[%llu,%llu] results=%llu", k,
+                      static_cast<unsigned long long>(interval.lo),
+                      static_cast<unsigned long long>(interval.hi),
+                      static_cast<unsigned long long>(s.results));
+        return std::string(detail);
+      }));
   return result;
 }
 
@@ -127,37 +94,16 @@ Result<std::vector<Entry>> SwstIndex::KnnImpl(const Point& center, size_t k,
       best.pop();
       best.push(Candidate{d2, e});
     }
+    return true;
   };
 
   const int64_t max_ring =
       static_cast<int64_t>(std::max(nx, ny));
   for (int64_t ring = 0; ring <= max_ring; ++ring) {
-    // Termination: if we already have k results and even the closest point
-    // of this ring's nearest cell is farther than the k-th best, stop.
-    if (best.size() == k && ring > 0) {
-      double ring_min = std::numeric_limits<double>::max();
-      bool any = false;
-      for (int64_t dy = -ring; dy <= ring; ++dy) {
-        for (int64_t dx = -ring; dx <= ring; ++dx) {
-          if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-          const int64_t cx = hx + dx, cy = hy + dy;
-          if (cx < 0 || cy < 0 || cx >= static_cast<int64_t>(nx) ||
-              cy >= static_cast<int64_t>(ny)) {
-            continue;
-          }
-          any = true;
-          ring_min = std::min(
-              ring_min, RectDistanceSquared(
-                            center, grid_.CellRect(static_cast<uint32_t>(
-                                        cy * nx + cx))));
-        }
-      }
-      if (!any || ring_min > best.top().dist2) break;
-    }
-
     // Gather the ring's in-bounds cells in scan order; the whole cell is
     // the "query area" for KNN.
     std::vector<SpatialGrid::CellOverlap> ring_cells;
+    double ring_min = std::numeric_limits<double>::max();
     for (int64_t dy = -ring; dy <= ring; ++dy) {
       for (int64_t dx = -ring; dx <= ring; ++dx) {
         if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
@@ -171,35 +117,20 @@ Result<std::vector<Entry>> SwstIndex::KnnImpl(const Point& center, size_t k,
         co.overlap = grid_.CellRect(co.cell);
         co.full = true;
         ring_cells.push_back(co);
+        ring_min = std::min(ring_min, RectDistanceSquared(center, co.overlap));
       }
     }
-    if (ring_cells.empty()) continue;
-
-    obs::TraceSpan* root =
-        (opts.trace != nullptr) ? opts.trace->root() : nullptr;
-    if (executor_ != nullptr && ring_cells.size() > 1) {
-      // Fan the ring's cells out in parallel; candidates are merged into
-      // the heap in ascending scan order, so the result (including ties)
-      // matches the sequential walk exactly.
-      SWST_RETURN_IF_ERROR(FanOutCells(
-          ring_cells, plan, q, win, opts, stats,
-          [&accept](size_t, std::vector<Entry>& entries) {
-            for (const Entry& e : entries) accept(e);
-            return true;
-          },
-          root));
-    } else {
-      for (const SpatialGrid::CellOverlap& co : ring_cells) {
-        if (stats != nullptr) stats->spatial_cells++;
-        SWST_RETURN_IF_ERROR(SearchCell(
-            co, plan, q, win, opts, stats,
-            [&accept](const Entry& e) {
-              accept(e);
-              return true;
-            },
-            root));
-      }
+    // Rings grow outward from an in-bounds home cell, so once a ring has
+    // no in-bounds cell no later ring has one either. Otherwise stop once
+    // we hold k results and even the closest point of this ring is
+    // farther than the k-th best.
+    if (ring_cells.empty() ||
+        (best.size() == k && ring_min > best.top().dist2)) {
+      break;
     }
+    SWST_RETURN_IF_ERROR(SearchCells(
+        ring_cells, plan, q, win, opts, stats, accept,
+        (opts.trace != nullptr) ? opts.trace->root() : nullptr));
   }
 
   if (stats != nullptr) {

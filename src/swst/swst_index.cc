@@ -857,7 +857,7 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
   }
 
   std::vector<uint32_t> level_nodes;
-  for (int slot = 0; slot < 2; ++slot) {
+  for (int slot = 0; slot < 2 && !stopped; ++slot) {
     if (ranges[slot].empty()) continue;
     if (stats != nullptr) stats->key_ranges += ranges[slot].size();
     obs::ScopedSpan bfs_span(
@@ -882,7 +882,8 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
               stats->full_cell_accepts++;
               stats->results++;
             }
-            return emit(e);
+            stopped = !emit(e);
+            return !stopped;
           }
           if (stats != nullptr) stats->candidates_refined++;
           const bool in_window = e.start >= win.lo && e.start <= win.hi;
@@ -895,7 +896,8 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
               !opts.retention_filter || opts.retention_filter(e, now());
           if (in_window && temporal_ok && spatial_ok && retained) {
             if (stats != nullptr) stats->results++;
-            return emit(e);
+            stopped = !emit(e);
+            return !stopped;
           }
           if (stats != nullptr) stats->refined_out++;
           return true;
@@ -940,8 +942,7 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
 Status SwstIndex::FanOutCells(
     const std::vector<SpatialGrid::CellOverlap>& cells, const ColumnPlan& plan,
     const TimeInterval& q, const TimeInterval& win, const QueryOptions& opts,
-    QueryStats* stats,
-    const std::function<bool(size_t, std::vector<Entry>&)>& consume,
+    QueryStats* stats, const std::function<bool(const Entry&)>& emit,
     obs::TraceSpan* trace_parent) {
   obs::QueryTrace* trace = opts.trace;
   // Every cell task owns its output buffer, stats block, and atomic done
@@ -1013,9 +1014,12 @@ Status SwstIndex::FanOutCells(
       stopped = true;
       continue;
     }
-    if (!consume(i, t.entries)) {
-      state->cancel.store(true, std::memory_order_relaxed);
-      stopped = true;
+    for (const Entry& e : t.entries) {
+      if (!emit(e)) {
+        state->cancel.store(true, std::memory_order_relaxed);
+        stopped = true;
+        break;
+      }
     }
   }
   if (trace != nullptr) {
@@ -1026,6 +1030,32 @@ Status SwstIndex::FanOutCells(
     for (const CellTask& t : state->tasks) *stats += t.qs;
   }
   return result;
+}
+
+Status SwstIndex::SearchCells(
+    const std::vector<SpatialGrid::CellOverlap>& cells, const ColumnPlan& plan,
+    const TimeInterval& q, const TimeInterval& win, const QueryOptions& opts,
+    QueryStats* stats, const std::function<bool(const Entry&)>& emit,
+    obs::TraceSpan* trace_parent) {
+  if (FansOut(cells.size())) {
+    return FanOutCells(cells, plan, q, win, opts, stats, emit, trace_parent);
+  }
+  bool stop = false;
+  for (const SpatialGrid::CellOverlap& co : cells) {
+    if (stop) break;
+    if (stats != nullptr) stats->spatial_cells++;
+    SWST_RETURN_IF_ERROR(SearchCell(
+        co, plan, q, win, opts, stats,
+        [&emit, &stop](const Entry& e) {
+          if (!emit(e)) {
+            stop = true;
+            return false;
+          }
+          return true;
+        },
+        trace_parent));
+  }
+  return Status::OK();
 }
 
 Status SwstIndex::IntervalQueryStreamImpl(
@@ -1058,35 +1088,9 @@ Status SwstIndex::IntervalQueryStreamImpl(
   }
 
   obs::ScopedSpan search_span(trace, root, "search");
-  const bool fan_out = executor_ != nullptr && cells.size() > 1;
-  search_span.AddCounter("fanout", fan_out ? 1 : 0);
-  if (fan_out) {
-    SWST_RETURN_IF_ERROR(FanOutCells(
-        cells, plan, q, win, opts, stats,
-        [&fn](size_t, std::vector<Entry>& entries) {
-          for (const Entry& e : entries) {
-            if (!fn(e)) return false;
-          }
-          return true;
-        },
-        search_span.get()));
-  } else {
-    bool stop = false;
-    for (const SpatialGrid::CellOverlap& co : cells) {
-      if (stop) break;
-      if (stats != nullptr) stats->spatial_cells++;
-      SWST_RETURN_IF_ERROR(SearchCell(
-          co, plan, q, win, opts, stats,
-          [&fn, &stop](const Entry& e) {
-            if (!fn(e)) {
-              stop = true;
-              return false;
-            }
-            return true;
-          },
-          search_span.get()));
-    }
-  }
+  search_span.AddCounter("fanout", FansOut(cells.size()) ? 1 : 0);
+  SWST_RETURN_IF_ERROR(SearchCells(cells, plan, q, win, opts, stats, fn,
+                                   search_span.get()));
   if (stats != nullptr) {
     stats->columns += plan.active_fields.size();
   }
@@ -1113,32 +1117,16 @@ std::vector<std::pair<std::string, uint64_t>> SlowLogCounters(
 
 }  // namespace
 
-void SwstIndex::ReportSlowQuery(obs::SlowQueryLog* slow, uint64_t latency_us,
-                                const QueryStats& stats,
-                                const obs::QueryTrace* sampled,
-                                const char* kind, const char* detail) {
-  const bool is_slow = latency_us >= slow->options().latency_threshold_us;
-  if (!is_slow && sampled == nullptr) {
-    slow->NoteFast();  // Hot path: one relaxed increment, no allocation.
-    return;
-  }
-  if (is_slow) {
-    obs::RecordEvent(obs::EventType::kSlowQuery, latency_us,
-                     stats.node_accesses, stats.results);
-  }
-  slow->Record(latency_us, std::string(kind) + " " + detail,
-               SlowLogCounters(stats), sampled);
-}
-
-Status SwstIndex::IntervalQueryStream(
-    const Rect& area, const TimeInterval& interval, const QueryOptions& opts,
-    const std::function<bool(const Entry&)>& fn, QueryStats* stats) {
+Status SwstIndex::ObserveQuery(
+    const char* kind, const QueryOptions& opts, QueryStats* stats,
+    const std::function<Status(const QueryOptions&, QueryStats*)>& run,
+    const std::function<std::string(const QueryStats&)>& detail) {
   obs::QueryTrace* trace = opts.trace;
   obs::SlowQueryLog* slow = options_.slow_log;
   if (m_queries_ == nullptr && trace == nullptr && slow == nullptr) {
     // No registry, trace, or slow log attached: stay on the zero-overhead
     // path — no clock reads, no extra stats block.
-    return IntervalQueryStreamImpl(area, interval, opts, fn, stats);
+    return run(opts, stats);
   }
 
   // Slow-query sampling: 1-in-N untraced queries run with an auto-attached
@@ -1159,39 +1147,49 @@ Status SwstIndex::IntervalQueryStream(
   // accumulating `stats` (or none at all).
   QueryStats local;
   const auto t0 = std::chrono::steady_clock::now();
-  const Status st =
-      IntervalQueryStreamImpl(area, interval, *run_opts, fn, &local);
+  const Status st = run(*run_opts, &local);
   const uint64_t latency_us = MicrosSince(t0);
   RecordQueryMetrics(local, latency_us);
   if (trace != nullptr) {
     obs::TraceSpan* root = trace->root();
-    root->AddCounter("node_accesses", local.node_accesses);
-    root->AddCounter("spatial_cells", local.spatial_cells);
-    root->AddCounter("cells_visited", local.cells_visited);
-    root->AddCounter("cells_pruned", local.cells_pruned);
-    root->AddCounter("memo_pruned_columns", local.memo_pruned_columns);
-    root->AddCounter("live_candidates", local.live_candidates);
-    root->AddCounter("live_results", local.live_results);
-    root->AddCounter("live_only_cells", local.live_only_cells);
-    root->AddCounter("results", local.results);
+    for (auto& [name, value] : SlowLogCounters(local)) {
+      root->AddCounter(std::move(name), value);
+    }
     trace->EndSpan(root);
   }
   if (slow != nullptr) {
-    if (latency_us >= slow->options().latency_threshold_us ||
-        sampled != nullptr) {
-      char detail[96];
-      std::snprintf(detail, sizeof(detail), "t=[%llu,%llu] results=%llu",
-                    static_cast<unsigned long long>(interval.lo),
-                    static_cast<unsigned long long>(interval.hi),
-                    static_cast<unsigned long long>(local.results));
-      ReportSlowQuery(slow, latency_us, local, sampled.get(), "interval",
-                      detail);
+    const bool is_slow = latency_us >= slow->options().latency_threshold_us;
+    if (!is_slow && sampled == nullptr) {
+      slow->NoteFast();  // Hot path: one relaxed increment, no allocation.
     } else {
-      slow->NoteFast();
+      if (is_slow) {
+        obs::RecordEvent(obs::EventType::kSlowQuery, latency_us,
+                         local.node_accesses, local.results);
+      }
+      slow->Record(latency_us, std::string(kind) + " " + detail(local),
+                   SlowLogCounters(local), sampled.get());
     }
   }
   if (stats != nullptr) *stats += local;
   return st;
+}
+
+Status SwstIndex::IntervalQueryStream(
+    const Rect& area, const TimeInterval& interval, const QueryOptions& opts,
+    const std::function<bool(const Entry&)>& fn, QueryStats* stats) {
+  return ObserveQuery(
+      "interval", opts, stats,
+      [&](const QueryOptions& o, QueryStats* s) {
+        return IntervalQueryStreamImpl(area, interval, o, fn, s);
+      },
+      [&interval](const QueryStats& s) {
+        char detail[96];
+        std::snprintf(detail, sizeof(detail), "t=[%llu,%llu] results=%llu",
+                      static_cast<unsigned long long>(interval.lo),
+                      static_cast<unsigned long long>(interval.hi),
+                      static_cast<unsigned long long>(s.results));
+        return std::string(detail);
+      });
 }
 
 Result<std::vector<Entry>> SwstIndex::IntervalQuery(

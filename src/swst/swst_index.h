@@ -603,57 +603,75 @@ class SwstIndex {
                      std::vector<PageId>* retired, size_t* dropped = nullptr);
   /// @}
 
-  /// Slow-query accounting shared by the interval and KNN wrappers: fast
-  /// untraced queries tick one relaxed counter; slow or trace-sampled ones
-  /// are admitted to `slow` (with a kSlowQuery flight event when over the
-  /// latency threshold). `sampled` is the auto-attached trace or null.
-  void ReportSlowQuery(obs::SlowQueryLog* slow, uint64_t latency_us,
-                       const QueryStats& stats, const obs::QueryTrace* sampled,
-                       const char* kind, const char* detail);
+  /// The observed-query wrapper behind `IntervalQueryStream` and `Knn`:
+  /// `run` executes the query pipeline. With no registry, trace or slow
+  /// log attached it calls `run` straight through. Otherwise it runs it
+  /// against a fresh stats block (1-in-N untraced queries get an
+  /// auto-attached trace for the slow log), records latency and counters
+  /// in the registry, stamps `SlowLogCounters` on the trace root, and
+  /// hands slow or sampled queries to the slow log as "<kind> <detail>";
+  /// `detail` is only called for those.
+  Status ObserveQuery(
+      const char* kind, const QueryOptions& opts, QueryStats* stats,
+      const std::function<Status(const QueryOptions&, QueryStats*)>& run,
+      const std::function<std::string(const QueryStats&)>& detail);
 
   Status BuildPlan(const TimeInterval& q, const TimeInterval& win,
                    ColumnPlan* plan) const;
 
   /// Runs the temporal search of one overlapping spatial cell and emits
-  /// every accepted entry, under the cell's shard lock (shared). Shared by
+  /// every accepted entry. It takes no lock: it pins an epoch, reads the
+  /// cell's trees and live bucket from the shard's published snapshot and
+  /// trims with the memo's wait-free seqlock read. Shared by
   /// the rectangle queries and KNN. `emit` returning false stops the
-  /// search of this cell (and the whole query, via the caller's stop
-  /// flag). All counters land in `stats` (a per-task local under parallel
-  /// execution), including exact node accesses. When `opts.trace` is set a
-  /// "cell <N>" span (with "bfs slot<k>" / "refine" children) is attached
-  /// under `trace_parent`.
+  /// search of this cell; `emit` is not called again. All counters land in `stats` (a per-task local
+  /// under parallel execution), including exact node accesses. When
+  /// `opts.trace` is set a "cell <N>" span (with "bfs slot<k>" / "refine"
+  /// children) is attached under `trace_parent`.
   Status SearchCell(const SpatialGrid::CellOverlap& co, const ColumnPlan& plan,
                     const TimeInterval& q, const TimeInterval& win,
                     const QueryOptions& opts, QueryStats* stats,
                     const std::function<bool(const Entry&)>& emit,
                     obs::TraceSpan* trace_parent = nullptr);
 
+  /// True when `SearchCells` fans `n` cells out over `executor_`.
+  bool FansOut(size_t n) const { return executor_ != nullptr && n > 1; }
+
+  /// Searches every cell in `cells` and emits the accepted entries in
+  /// ascending cell order — the order, results and stats of a serial
+  /// walk — fanning out via `FanOutCells` when `FansOut(cells.size())`.
+  /// `emit` returning false stops the walk. Cell spans attach under
+  /// `trace_parent`.
+  Status SearchCells(const std::vector<SpatialGrid::CellOverlap>& cells,
+                     const ColumnPlan& plan, const TimeInterval& q,
+                     const TimeInterval& win, const QueryOptions& opts,
+                     QueryStats* stats,
+                     const std::function<bool(const Entry&)>& emit,
+                     obs::TraceSpan* trace_parent);
+
   /// Fans `SearchCell` out over `executor_` for every cell in `cells`,
-  /// buffering each cell's accepted entries. `consume(i, entries)` is
-  /// invoked on the calling thread in ascending cell order as tasks
-  /// complete; returning false cancels in-flight tasks (they stop at the
-  /// next emitted entry) and skips the remaining cells' results. Cell
-  /// stats are merged into `stats` in deterministic cell order. Cell
-  /// tasks attach their trace spans under `trace_parent`; a sibling
-  /// "merge" span records the consumer's wait time.
+  /// buffering each cell's accepted entries. They are passed to `emit` on
+  /// the calling thread in ascending cell order as tasks complete;
+  /// returning false cancels in-flight tasks (they stop at the next
+  /// emitted entry) and skips the remaining cells' results. Cell stats are
+  /// merged into `stats` in deterministic cell order. Cell tasks attach
+  /// their trace spans under `trace_parent`; a sibling "merge" span
+  /// records the consumer's wait time.
   Status FanOutCells(const std::vector<SpatialGrid::CellOverlap>& cells,
                      const ColumnPlan& plan, const TimeInterval& q,
                      const TimeInterval& win, const QueryOptions& opts,
                      QueryStats* stats,
-                     const std::function<bool(size_t, std::vector<Entry>&)>&
-                         consume,
-                     obs::TraceSpan* trace_parent = nullptr);
+                     const std::function<bool(const Entry&)>& emit,
+                     obs::TraceSpan* trace_parent);
 
-  /// The actual query pipeline behind `IntervalQueryStream`, which wraps it
-  /// with metrics/trace bookkeeping (latency, registry counters, root-span
-  /// totals) when either is enabled and calls straight through otherwise.
+  /// The query pipeline `IntervalQueryStream` runs through `ObserveQuery`.
   Status IntervalQueryStreamImpl(const Rect& area,
                                  const TimeInterval& interval,
                                  const QueryOptions& opts,
                                  const std::function<bool(const Entry&)>& fn,
                                  QueryStats* stats);
 
-  /// Ring-expansion KNN pipeline behind `Knn` (same wrapper split).
+  /// Ring-expansion KNN pipeline `Knn` runs through `ObserveQuery`.
   Result<std::vector<Entry>> KnnImpl(const Point& center, size_t k,
                                      const TimeInterval& interval,
                                      const QueryOptions& opts,

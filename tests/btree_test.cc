@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "btree/btree_iterator.h"
 #include "tests/test_util.h"
 
 namespace swst {
@@ -186,29 +185,6 @@ TEST_F(BTreeTest, AttachSeesExistingData) {
     return true;
   }));
   EXPECT_EQ(n, 1);
-}
-
-TEST_F(BTreeTest, IteratorWalksAllRecordsInOrder) {
-  BTree t = Make();
-  const int n = BTree::LeafCapacity() * 3;
-  for (int i = n - 1; i >= 0; --i) {
-    ASSERT_OK(t.Insert(static_cast<uint64_t>(i * 2),
-                       MakeEntry(static_cast<ObjectId>(i), 0, 0, 0, 1)));
-  }
-  BTreeIterator it(pool(), t.root());
-  uint64_t expected = 0;
-  for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    ASSERT_EQ(it.record().key, expected);
-    expected += 2;
-  }
-  ASSERT_OK(it.status());
-  EXPECT_EQ(expected, static_cast<uint64_t>(n) * 2);
-
-  it.Seek(11);
-  ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.record().key, 12u);
-  it.Seek(static_cast<uint64_t>(n) * 2);
-  EXPECT_FALSE(it.Valid());
 }
 
 TEST_F(BTreeTest, EarlyScanTermination) {

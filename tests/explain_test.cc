@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -255,7 +258,29 @@ TEST_F(ExplainTest, KnnTraceRootMatchesStats) {
   EXPECT_EQ(r->size(), 3u);
   const obs::TraceSpan& root = *trace.root();
   EXPECT_GT(root.duration_ns, 0u);
-  EXPECT_EQ(DirectCounter(root, "node_accesses"), stats.node_accesses);
+  // The KNN root carries the interval root's full counter set (the slow
+  // log's counters), each once and equal to its QueryStats field.
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"node_accesses", stats.node_accesses},
+      {"spatial_cells", stats.spatial_cells},
+      {"cells_visited", stats.cells_visited},
+      {"cells_pruned", stats.cells_pruned},
+      {"memo_pruned_columns", stats.memo_pruned_columns},
+      {"live_candidates", stats.live_candidates},
+      {"live_results", stats.live_results},
+      {"live_only_cells", stats.live_only_cells},
+      {"results", stats.results}};
+  for (const auto& [key, value] : expected) {
+    EXPECT_EQ(std::count_if(root.counters.begin(), root.counters.end(),
+                            [key = key](const auto& kv) {
+                              return kv.first == key;
+                            }),
+              1)
+        << key;
+    EXPECT_EQ(DirectCounter(root, key), value) << key;
+  }
+  EXPECT_EQ(root.counters.size(), std::size(expected));
+  EXPECT_GT(stats.spatial_cells, 0u);
   EXPECT_FALSE(ChildrenWithPrefix(root, "cell ").empty());
 }
 

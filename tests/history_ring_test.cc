@@ -1,5 +1,5 @@
 // Metrics history ring: scalar collection, in-process rates, ring
-// retention, the sampler thread, and the JSON-lines stats dumper. Also
+// retention, the sampler thread, and its JSON-lines sink. Also
 // pins the pool's compression gauges to the registry (the metric catalog
 // in docs/observability.md documents them).
 
@@ -11,12 +11,12 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/stats_dumper.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
 
@@ -24,10 +24,9 @@ namespace swst {
 namespace obs {
 namespace {
 
-MetricsHistory::Options FastOpts(size_t capacity = 8) {
+MetricsHistory::Options FastOpts() {
   MetricsHistory::Options o;
   o.period = std::chrono::milliseconds(5);
-  o.capacity = capacity;
   return o;
 }
 
@@ -97,16 +96,33 @@ TEST(MetricsHistoryTest, RatesDifferenceTheWindow) {
 TEST(MetricsHistoryTest, RingRetainsNewestCapacity) {
   MetricsRegistry registry;
   auto c = registry.RegisterCounter("test_ops_total", "ops");
-  MetricsHistory history(&registry, FastOpts(/*capacity=*/2));
-  for (int i = 0; i < 5; ++i) {
+  MetricsHistory history(&registry);
+  const size_t cap = history.capacity();
+  for (size_t i = 0; i < cap + 3; ++i) {
     c->Increment();
     history.SampleNow();
   }
   const auto samples = history.Samples();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].seq, 4u);
-  EXPECT_EQ(samples[1].seq, 5u);
-  EXPECT_EQ(history.sample_count(), 5u);
+  ASSERT_EQ(samples.size(), cap);
+  EXPECT_EQ(samples.front().seq, 4u);
+  EXPECT_EQ(samples.back().seq, cap + 3);
+  EXPECT_EQ(history.sample_count(), cap + 3);
+}
+
+// The ring is sized from the period: a fast sampler (the CLI's
+// `--stats-dump-ms 50`) still retains a sample a full rate window old.
+TEST(MetricsHistoryTest, CapacityCoversTheRateWindow) {
+  MetricsRegistry registry;
+  for (const int period_ms : {50, 1000}) {
+    MetricsHistory::Options o;
+    o.period = std::chrono::milliseconds(period_ms);
+    MetricsHistory history(&registry, o);
+    EXPECT_GE((history.capacity() - 1) * o.period,
+              MetricsHistory::kRateWindow)
+        << period_ms;
+  }
+  MetricsHistory default_history(&registry);
+  EXPECT_EQ(default_history.capacity(), 128u);  // ~2 min at 1 s.
 }
 
 TEST(MetricsHistoryTest, EmptyAndSingleSampleHaveNoRates) {
@@ -120,7 +136,7 @@ TEST(MetricsHistoryTest, EmptyAndSingleSampleHaveNoRates) {
 TEST(MetricsHistoryTest, SamplerThreadCollectsOnCadence) {
   MetricsRegistry registry;
   auto c = registry.RegisterCounter("test_ops_total", "ops");
-  MetricsHistory history(&registry, FastOpts(/*capacity=*/64));
+  MetricsHistory history(&registry, FastOpts());
   history.Start();
   history.Start();  // Idempotent.
   c->Increment(5);
@@ -157,25 +173,59 @@ TEST(MetricsHistoryTest, WriteLastSampleToFd) {
   EXPECT_NE(out.find("test_ops_total 123"), std::string::npos);
 }
 
-TEST(StatsDumperTest, JsonLinesFormatIsSelfContained) {
+TEST(MetricsHistoryTest, SinkGetsSelfContainedJsonLines) {
   MetricsRegistry registry;
   auto c = registry.RegisterCounter("test_ops_total", "ops");
   c->Increment(9);
   std::vector<std::string> lines;
-  {
-    StatsDumper dumper(&registry, std::chrono::milliseconds(60000),
-                       [&lines](const std::string& s) { lines.push_back(s); });
-    dumper.Stop();  // Forces the final dump without waiting out the period.
-  }
+  MetricsHistory::Options o;
+  o.period = std::chrono::milliseconds(60000);
+  o.sink = [&lines](const std::string& s) { lines.push_back(s); };
+  MetricsHistory history(&registry, o);
+  history.Start();  // The baseline sample is not streamed.
+  EXPECT_TRUE(lines.empty());
+  history.Stop();  // Streams the final line without waiting out the period.
+  history.Stop();  // Idempotent: no second final line.
   ASSERT_EQ(lines.size(), 1u);
   const std::string& line = lines[0];
   EXPECT_EQ(line.rfind("{\"ts_ms\": ", 0), 0u);  // Starts the envelope.
-  EXPECT_NE(line.find("\"seq\": 1"), std::string::npos);
+  // `seq` is the sample's own ordinal: the baseline was #1.
+  EXPECT_EQ(history.sample_count(), 2u);
+  EXPECT_NE(line.find(", \"seq\": 2, "), std::string::npos);
   EXPECT_NE(line.find("\"counters\""), std::string::npos);
   EXPECT_NE(line.find("\"test_ops_total\": 9"), std::string::npos);
   EXPECT_EQ(line.back(), '\n');
   // One line per snapshot: exactly one newline, at the end.
   EXPECT_EQ(line.find('\n'), line.size() - 1);
+}
+
+TEST(MetricsHistoryTest, SinkStreamsEveryPeriodicSample) {
+  MetricsRegistry registry;
+  std::mutex mu;
+  std::vector<std::string> lines;
+  MetricsHistory::Options o = FastOpts();
+  o.sink = [&](const std::string& s) {
+    std::lock_guard<std::mutex> lock(mu);
+    lines.push_back(s);
+  };
+  MetricsHistory history(&registry, o);
+  history.Start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (history.sample_count() < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  history.Stop();
+  // Every sample after the baseline was streamed, in order: seq 2..n.
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_GE(lines.size(), 3u);
+  ASSERT_EQ(lines.size(), history.sample_count() - 1);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lines[i].find(", \"seq\": " + std::to_string(i + 2) + ", "),
+              std::string::npos)
+        << lines[i].substr(0, 40);
+  }
 }
 
 TEST(MetricsCatalogTest, PoolRegistersCompressionGauges) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "btree/btree_iterator.h"
 #include "hrtree/hr_tree.h"
 #include "pist/pist_index.h"
 #include "swst/swst_index.h"
@@ -10,19 +9,6 @@ namespace swst {
 namespace {
 
 // Small odds-and-ends that round out coverage of the public surfaces.
-
-TEST(MiscCoverage, BTreeIteratorOnEmptyTree) {
-  auto pager = Pager::OpenMemory();
-  BufferPool pool(pager.get(), 16);
-  auto tree = BTree::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  BTreeIterator it(&pool, tree->root());
-  it.SeekToFirst();
-  EXPECT_FALSE(it.Valid());
-  EXPECT_OK(it.status());
-  it.Seek(42);
-  EXPECT_FALSE(it.Valid());
-}
 
 TEST(MiscCoverage, PistRejectsHugeTimestamps) {
   auto pager = Pager::OpenMemory();

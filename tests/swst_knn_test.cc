@@ -87,6 +87,63 @@ TEST_F(SwstKnnTest, MatchesBruteForceOnRandomData) {
   }
 }
 
+// A centre in a corner cell: every ring past the first lies partly outside
+// the grid, and the last ring wholly outside. `k` reaches past the first
+// rings up to nearly every entry. The answer must match brute force, and
+// the fanned-out walk (query_threads 4) must return the serial walk's
+// entries in the same order with the same stats.
+TEST_F(SwstKnnTest, CornerCenterCrossesClippedRings) {
+  Random rng(73);
+  std::vector<Entry> all;
+  for (int i = 0; i < 1500; ++i) {
+    all.push_back(MakeEntry(i, rng.UniformDouble(0, 1000),
+                            rng.UniformDouble(0, 1000), i / 3,
+                            1 + rng.Uniform(200)));
+  }
+  const Point center{30, 970};  // Cell (0, 4) of the 5x5 grid.
+  for (const size_t k : {100, 400, 1000, 1500}) {
+    std::vector<Entry> serial;
+    QueryStats serial_stats;
+    for (const uint32_t threads : {1u, 4u}) {
+      SwstOptions o = SmallOptions();
+      o.query_threads = threads;
+      auto idx = Make(o);
+      for (const Entry& e : all) ASSERT_OK(idx->Insert(e));
+      const TimeInterval win = idx->QueriablePeriod();
+      const TimeInterval q{win.lo, win.hi};
+      QueryStats stats;
+      auto r = idx->Knn(center, k, q, {}, &stats);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+      std::vector<double> expect;
+      for (const Entry& e : all) {
+        if (e.start >= win.lo && e.start <= win.hi && e.ValidTimeOverlaps(q)) {
+          expect.push_back(Dist(e.pos, center));
+        }
+      }
+      std::sort(expect.begin(), expect.end());
+      expect.resize(std::min(k, expect.size()));
+      ASSERT_EQ(r->size(), expect.size()) << "k=" << k << " t=" << threads;
+      for (size_t i = 0; i < expect.size(); ++i) {
+        ASSERT_NEAR(Dist((*r)[i].pos, center), expect[i], 1e-9)
+            << "k=" << k << " t=" << threads << " i=" << i;
+      }
+
+      if (threads == 1) {
+        serial = *r;
+        serial_stats = stats;
+        continue;
+      }
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ((*r)[i].oid, serial[i].oid) << "k=" << k << " i=" << i;
+      }
+      EXPECT_EQ(stats.spatial_cells, serial_stats.spatial_cells);
+      EXPECT_EQ(stats.node_accesses, serial_stats.node_accesses);
+      EXPECT_EQ(stats.results, serial_stats.results);
+    }
+  }
+}
+
 TEST_F(SwstKnnTest, KZeroReturnsEmpty) {
   auto idx = Make(SmallOptions());
   ASSERT_OK(idx->Insert(MakeEntry(1, 10, 10, 0, 10)));

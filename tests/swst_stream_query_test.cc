@@ -89,6 +89,32 @@ TEST_F(StreamQueryTest, ExistenceProbeStopsAtFirstHit) {
   EXPECT_TRUE(any);
 }
 
+// A cell whose entries span two epochs has two live trees. Once `fn`
+// returns false it is never called again: the search does not go on to
+// the cell's second tree.
+TEST_F(StreamQueryTest, StopIsFinalAcrossTreeSlots) {
+  auto idx_or = SwstIndex::Create(pool(), SmallOptions());
+  ASSERT_TRUE(idx_or.ok());
+  auto& idx = *idx_or;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_OK(idx->Insert(MakeEntry(i, 10 + i, 10, 900 + i, 50)));
+    ASSERT_OK(idx->Insert(MakeEntry(100 + i, 10 + i, 10, 1100 + i, 50)));
+  }
+  ASSERT_OK(idx->Advance(1300));
+  const Rect cell{{0, 0}, {100, 100}};
+  const TimeInterval win = idx->QueriablePeriod();
+  auto all = idx->IntervalQuery(cell, win);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 20u);  // Both epochs are inside the window.
+
+  int calls = 0;
+  ASSERT_OK(idx->IntervalQueryStream(cell, win, {}, [&](const Entry&) {
+    ++calls;
+    return false;
+  }));
+  EXPECT_EQ(calls, 1);
+}
+
 TEST_F(StreamQueryTest, AggregationWithoutMaterialization) {
   auto idx = MakeFilled(2000);
   const TimeInterval win = idx->QueriablePeriod();

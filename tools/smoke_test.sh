@@ -109,6 +109,22 @@ case "$MODE" in
     out=$("$CLI" healthz --db "$db" $FLAGS)
     echo "$out" | grep -q '"status": "ok"'
     echo "$out" | grep -q '"qps"'
+    # --stats-dump-ms: the metrics sampler runs every 50 ms and streams
+    # each sample to stderr as one JSON line, plus a final line on exit.
+    # The pause spans several periods; the query right before `quit` is
+    # only guaranteed to show in that final line.
+    dump=$( { printf 'insert 7 10 10 5 50\nadvance 30\n'; sleep 0.3
+              printf 'query 0 0 1000 1000 10 60\nquit\n'; } \
+            | "$CLI" $FLAGS --stats-dump-ms 50 2>&1 >/dev/null)
+    echo "$dump" | grep '^{"ts_ms"' | python3 -c '
+import json, sys
+lines = [json.loads(l) for l in sys.stdin]
+assert len(lines) >= 3, "want periodic lines plus the final one: %d" % len(lines)
+seqs = [d["seq"] for d in lines]
+assert all(a < b for a, b in zip(seqs, seqs[1:])), seqs
+assert lines[-1]["counters"]["swst_index_queries_total"] == 1, lines[-1]
+print("stats dump: %d lines, seq %d..%d" % (len(lines), seqs[0], seqs[-1]))
+'
     # Forced fatal error: the black box dumps to stderr and the crash file,
     # then the process dies by SIGABRT (exit 128+6).
     rc=0

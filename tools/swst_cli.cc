@@ -60,9 +60,10 @@
 // `slow`, and `top` to machine-readable output (`healthz` is always
 // JSON). See docs/observability.md for the schemas.
 //
-// `--stats-dump-ms N` starts a background thread that writes the metrics
-// as self-contained JSON lines to stderr every N milliseconds (plus one
-// final dump on exit).
+// `--stats-dump-ms N` runs the metrics history sampler every N
+// milliseconds instead of every second and has it write each sample's
+// registry as a self-contained JSON line to stderr (plus one final line on
+// exit).
 //
 // Example:
 //   printf 'report 1 10 20 100\nslice 0 0 50 50 100\nquit\n' | swst_cli
@@ -82,7 +83,6 @@
 #include "obs/history_ring.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
-#include "obs/stats_dumper.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -98,7 +98,7 @@ struct CliConfig {
   SwstOptions options;
   size_t pool_pages = 4096;
   bool legacy_stats = false;     ///< verify: old `verify: io ...` line.
-  uint64_t stats_dump_ms = 0;    ///< Periodic JSON dump to stderr (0 = off).
+  uint64_t stats_dump_ms = 0;    ///< Sampler period + JSON lines (0 = off).
   bool json = false;             ///< events/slow/top: JSON output.
   uint64_t slow_us = 10000;      ///< Slow-query threshold (0 = keep all).
   std::string crash_file;        ///< Black-box dump file ("" = stderr only).
@@ -594,13 +594,21 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   // Observability stack, always on. The slow-query log is wired into the
   // index via options and must outlive it; the history sampler snapshots
-  // the registry every second; the black box dumps all three (plus the
+  // the registry every second (every `--stats-dump-ms`, streaming each
+  // sample to stderr, when set); the black box dumps all three (plus the
   // process-wide flight recorder) on any fatal signal or the `crash`
   // command. Both are declared right after the registry so they are
   // destroyed after the index but before the registry.
   obs::SlowQueryLog slow_log(obs::SlowQueryLog::Options{
       cfg.slow_us, /*sample_every=*/256, /*capacity=*/32});
-  obs::MetricsHistory history(&registry);
+  obs::MetricsHistory::Options history_opts;
+  if (cfg.stats_dump_ms > 0) {
+    history_opts.period = std::chrono::milliseconds(cfg.stats_dump_ms);
+    history_opts.sink = [](const std::string& line) {
+      std::fputs(line.c_str(), stderr);
+    };
+  }
+  obs::MetricsHistory history(&registry, history_opts);
   history.Start();
   obs::BlackBox::Install(
       obs::BlackBox::Sources{&obs::FlightRecorder::Global(), &slow_log,
@@ -661,15 +669,6 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-  }
-
-  // Declared after `index` so it is destroyed first: the final dump on
-  // exit still sees the index's registered metrics.
-  std::unique_ptr<obs::StatsDumper> dumper;
-  if (cfg.stats_dump_ms > 0) {
-    dumper = std::make_unique<obs::StatsDumper>(
-        &registry, std::chrono::milliseconds(cfg.stats_dump_ms),
-        [](const std::string& json) { std::fputs(json.c_str(), stderr); });
   }
 
   std::unordered_map<ObjectId, Entry> open_entries;
@@ -915,15 +914,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  Status st;
   if (!cfg.db_path.empty()) {
     // With a WAL attached, the final persist is a checkpoint so the log's
     // covered prefix is truncated too.
-    Status st = (wal != nullptr) ? index->Checkpoint(&meta)
-                                 : index->Save(&meta);
-    if (!st.ok()) {
-      std::fprintf(stderr, "final save: %s\n", st.ToString().c_str());
-      return 1;
-    }
+    st = (wal != nullptr) ? index->Checkpoint(&meta) : index->Save(&meta);
+  }
+  // Stopped while the index is alive, so the final `--stats-dump-ms` line
+  // still carries the index's registered metrics.
+  history.Stop();
+  if (!st.ok()) {
+    std::fprintf(stderr, "final save: %s\n", st.ToString().c_str());
+    return 1;
   }
   return 0;
 }
