@@ -21,17 +21,30 @@
 // counter the crash-matrix tests use — so "fsyncs" means actual store
 // sync calls, not requests that Wal::Sync short-circuited.
 //
+// The batch rows and the "report" row run over the in-memory WAL store.
+// The "dir_report" row runs the same report stream over a directory WAL
+// (real files, real fdatasync) in a temporary directory under the build
+// tree, with one writer, and reports reports/s and the p50 of
+// swst_wal_sync_us (a log2 bucket's upper bound) — the file-system cost
+// of one durable report. It counts syncs with the WAL's own
+// swst_wal_syncs_total (backend syncs), and the checker pins
+// fsyncs_per_report at exactly 1.0.
+//
 // Usage: bench_wal_commit [--smoke] [--json]
 //   --smoke    fewer records per point (CI smoke test).
 //   --json     accepted for symmetry with the other benches; output is
 //              always the machine-readable BENCH_*.json schema.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/workload.h"
@@ -63,6 +76,14 @@ struct ReportPoint {
   double wal_records_per_report = 0;
 };
 
+struct DirReportPoint {
+  uint64_t reports = 0;
+  double reports_per_sec = 0;
+  uint64_t wal_syncs = 0;
+  double fsyncs_per_report = 0;
+  uint64_t sync_p50_us = 0;
+};
+
 void Check(const Status& st, const char* what) {
   if (!st.ok()) {
     std::fprintf(stderr, "%s: %s\n", what, st.ToString().c_str());
@@ -70,22 +91,21 @@ void Check(const Status& st, const char* what) {
   }
 }
 
-/// A durable paper-default index over memory stores. Members are declared
+/// A durable paper-default index over a memory pager and the WAL store
+/// `wal_store` (not owned; must outlive the stack). Members are declared
 /// so the Wal outlives the pool (whose destructor-time flush enforces the
 /// WAL rule against it) and the pager outlives both.
 struct DurableStack {
   std::unique_ptr<Pager> pager = Pager::OpenMemory();
-  std::unique_ptr<WalStore> base_wal = WalStore::OpenMemory();
-  FaultInjectionWalStore store{base_wal.get()};  // Sync counter; no faults.
   std::unique_ptr<Wal> wal;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<SwstIndex> idx;
   SwstOptions options = PaperSwstOptions();
 
-  explicit DurableStack(obs::MetricsRegistry* registry) {
+  DurableStack(WalStore* wal_store, obs::MetricsRegistry* registry) {
     WalOptions wopts;
     wopts.metrics = registry;
-    auto w = Wal::Open(&store, wopts);
+    auto w = Wal::Open(wal_store, wopts);
     Check(w.status(), "Wal::Open");
     wal = std::move(*w);
     pool = std::make_unique<BufferPool>(pager.get(), 1 << 14);
@@ -95,6 +115,12 @@ struct DurableStack {
     Check(i.status(), "Create");
     idx = std::move(*i);
   }
+};
+
+/// An in-memory WAL store behind the sync-counting decorator.
+struct CountedMemoryWal {
+  std::unique_ptr<WalStore> base = WalStore::OpenMemory();
+  FaultInjectionWalStore store{base.get()};  // Sync counter; no faults.
 };
 
 // Fixed arrival clock inside the first window: the bench measures commit
@@ -111,10 +137,11 @@ Entry MakeBenchEntry(Random* rng, ObjectId oid, const SwstOptions& options) {
 
 CommitPoint RunPoint(uint64_t batch, uint64_t records,
                      obs::MetricsRegistry* registry) {
-  DurableStack s(registry);
+  CountedMemoryWal m;
+  DurableStack s(&m.store, registry);
   Random rng(/*seed=*/batch * 7919 + 1);
-  const uint64_t syncs0 = s.store.syncs();
-  const uint64_t appends0 = s.store.appends();
+  const uint64_t syncs0 = m.store.syncs();
+  const uint64_t appends0 = m.store.appends();
   ObjectId oid = 1;
   uint64_t done = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -141,8 +168,8 @@ CommitPoint RunPoint(uint64_t batch, uint64_t records,
   p.batch = batch;
   p.records = records;
   p.records_per_sec = (secs > 0) ? records / secs : 0;
-  p.wal_appends = s.store.appends() - appends0;
-  p.wal_syncs = s.store.syncs() - syncs0;
+  p.wal_appends = m.store.appends() - appends0;
+  p.wal_syncs = m.store.syncs() - syncs0;
   p.fsyncs_per_record =
       (records > 0) ? static_cast<double>(p.wal_syncs) / records : 0;
   return p;
@@ -152,38 +179,74 @@ CommitPoint RunPoint(uint64_t batch, uint64_t records,
 // for kRounds rounds — every report after an object's first closes its
 // previous entry. 4096 reports fit well inside one WAL segment and one
 // window, so no rotation or expiry adds a sync.
-ReportPoint RunReports(obs::MetricsRegistry* registry) {
-  constexpr uint64_t kObjects = 64;
-  constexpr uint64_t kRounds = 64;
-  DurableStack s(registry);
+constexpr uint64_t kObjects = 64;
+constexpr uint64_t kRounds = 64;
+constexpr uint64_t kReports = kObjects * kRounds;
+
+/// Streams the reports into `s`; returns the wall seconds they took.
+double StreamReports(DurableStack* s) {
   Random rng(/*seed=*/4243);
   std::vector<Entry> open(kObjects);
-  const uint64_t syncs0 = s.store.syncs();
-  const uint64_t appends0 = s.store.appends();
-  const Lsn lsn0 = s.wal->last_lsn();
   const auto t0 = std::chrono::steady_clock::now();
   for (uint64_t round = 0; round < kRounds; ++round) {
     for (uint64_t k = 0; k < kObjects; ++k) {
-      const Point pos{rng.UniformDouble(s.options.space.lo.x,
-                                        s.options.space.hi.x),
-                      rng.UniformDouble(s.options.space.lo.y,
-                                        s.options.space.hi.y)};
-      Check(s.idx->ReportPosition(k + 1, pos, 100 + round,
-                                  round == 0 ? nullptr : &open[k], &open[k]),
+      const Point pos{rng.UniformDouble(s->options.space.lo.x,
+                                        s->options.space.hi.x),
+                      rng.UniformDouble(s->options.space.lo.y,
+                                        s->options.space.hi.y)};
+      Check(s->idx->ReportPosition(k + 1, pos, 100 + round,
+                                   round == 0 ? nullptr : &open[k], &open[k]),
             "report");
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
+ReportPoint RunReports(obs::MetricsRegistry* registry) {
+  CountedMemoryWal m;
+  DurableStack s(&m.store, registry);
+  const uint64_t syncs0 = m.store.syncs();
+  const uint64_t appends0 = m.store.appends();
+  const Lsn lsn0 = s.wal->last_lsn();
+  const double secs = StreamReports(&s);
+
   ReportPoint p;
-  p.reports = kObjects * kRounds;
+  p.reports = kReports;
   p.reports_per_sec = (secs > 0) ? p.reports / secs : 0;
-  p.wal_appends = s.store.appends() - appends0;
-  p.wal_syncs = s.store.syncs() - syncs0;
+  p.wal_appends = m.store.appends() - appends0;
+  p.wal_syncs = m.store.syncs() - syncs0;
   p.fsyncs_per_report = static_cast<double>(p.wal_syncs) / p.reports;
   p.wal_records_per_report =
       static_cast<double>(s.wal->last_lsn() - lsn0) / p.reports;
+  return p;
+}
+
+/// The report stream over a directory WAL in a fresh directory under
+/// `parent`, removed afterwards. Its own registry keeps the sync latency
+/// histogram to this row's syncs.
+DirReportPoint RunDirReports(const std::string& parent) {
+  const std::filesystem::path dir =
+      std::filesystem::path(parent) /
+      ("bench_wal_commit_dir_wal_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  obs::MetricsRegistry registry;
+  DirReportPoint p;
+  {
+    auto store = WalStore::OpenDir(dir.string());
+    Check(store.status(), "WalStore::OpenDir");
+    DurableStack s(store->get(), &registry);
+    const auto syncs = registry.RegisterCounter("swst_wal_syncs_total", "");
+    const uint64_t syncs0 = syncs->value();
+    const double secs = StreamReports(&s);
+    p.reports = kReports;
+    p.reports_per_sec = (secs > 0) ? p.reports / secs : 0;
+    p.wal_syncs = syncs->value() - syncs0;
+    p.fsyncs_per_report = static_cast<double>(p.wal_syncs) / p.reports;
+    p.sync_p50_us =
+        registry.RegisterHistogram("swst_wal_sync_us", "")->Percentile(0.5);
+  }
+  std::filesystem::remove_all(dir);
   return p;
 }
 
@@ -206,6 +269,7 @@ int main(int argc, char** argv) {
     points.push_back(RunPoint(batch, records, &registry));
   }
   const ReportPoint report = RunReports(&registry);
+  const DirReportPoint dir_report = RunDirReports(SWST_BENCH_SCRATCH_DIR);
 
   // Acceptance gate: group commit at batch 1024 must cut fsyncs/record
   // by at least 4x vs. per-insert sync (in practice it is ~batch-size x).
@@ -233,6 +297,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report.wal_appends),
       static_cast<unsigned long long>(report.wal_syncs),
       report.fsyncs_per_report, report.wal_records_per_report);
+  std::printf(
+      "  \"dir_report\": {\"reports\": %llu, \"reports_per_sec\": %.1f, "
+      "\"wal_syncs\": %llu, \"fsyncs_per_report\": %.6f, "
+      "\"sync_p50_us\": %llu},\n",
+      static_cast<unsigned long long>(dir_report.reports),
+      dir_report.reports_per_sec,
+      static_cast<unsigned long long>(dir_report.wal_syncs),
+      dir_report.fsyncs_per_report,
+      static_cast<unsigned long long>(dir_report.sync_p50_us));
   std::printf("  \"results\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const CommitPoint& p = points[i];

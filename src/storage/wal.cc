@@ -40,6 +40,10 @@ uint32_t FrameCrc(const WalRecordHeader& h, const void* payload) {
   return crc32c::Mask(crc);
 }
 
+bool AllZero(const char* p, size_t n) {
+  return std::all_of(p, p + n, [](char c) { return c == 0; });
+}
+
 uint32_t SegmentHeaderCrc(const WalSegmentHeader& h) {
   return crc32c::Mask(
       crc32c::Compute(&h, sizeof(h) - sizeof(h.crc)));
@@ -108,14 +112,25 @@ class MemoryWalStore final : public WalStore {
 };
 
 // ---------------------------------------------------------------------------
-// Directory-of-files store.
+// Directory-of-files store. A segment grows in preallocated extents of
+// kWalExtentBytes and records are written with pwrite below its size, so
+// a record's fdatasync usually commits data only, not a size change. The
+// zero-filled rest of the last extent reads as the end of the records
+// (see ReplayLocked).
 
 class DirWalStore final : public WalStore {
+  /// A segment this store created, with its write position.
+  struct OpenSegment {
+    int fd = -1;
+    uint64_t end = 0;        ///< Bytes appended; the next append's offset.
+    uint64_t allocated = 0;  ///< File size: `end` rounded up to extents.
+  };
+
  public:
   explicit DirWalStore(std::string dir) : dir_(std::move(dir)) {}
 
   ~DirWalStore() override {
-    for (auto& [seq, fd] : fds_) ::close(fd);
+    for (auto& [seq, seg] : fds_) ::close(seg.fd);
   }
 
   Result<std::vector<uint64_t>> ListSegments() override {
@@ -136,10 +151,17 @@ class DirWalStore final : public WalStore {
 
   Status CreateSegment(uint64_t seq) override {
     CloseCached(seq);
-    int fd = ::open(SegmentPath(seq).c_str(),
-                    O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-    if (fd < 0) return Status::IOError(Errno("open " + SegmentPath(seq)));
-    fds_[seq] = fd;
+    const std::string path = SegmentPath(seq);
+    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0) return Status::IOError(Errno("open " + path));
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return Status::IOError(Errno("fstat " + path));
+    }
+    // An existing file keeps its bytes; appends continue at its end.
+    const auto size = static_cast<uint64_t>(st.st_size);
+    fds_[seq] = OpenSegment{fd, size, size};
     // Make the new name durable: a segment that exists after a crash but
     // whose creation never reached the directory would strand its records.
     return SyncDir();
@@ -154,25 +176,43 @@ class DirWalStore final : public WalStore {
   }
 
   Status Append(uint64_t seq, const void* data, size_t n) override {
-    int fd = -1;
-    SWST_RETURN_IF_ERROR(GetFd(seq, &fd));
+    OpenSegment* seg = nullptr;
+    SWST_RETURN_IF_ERROR(Find(seq, &seg));
+    const uint64_t need = seg->end + n;
+    if (need > seg->allocated) {
+      // Grow by whole extents before writing, so a failed preallocation
+      // writes nothing and most appends land inside the file's size.
+      const uint64_t grown =
+          (need + kWalExtentBytes - 1) / kWalExtentBytes *
+          kWalExtentBytes;
+      const int rc =
+          ::posix_fallocate(seg->fd, static_cast<off_t>(seg->allocated),
+                            static_cast<off_t>(grown - seg->allocated));
+      if (rc != 0) {
+        return Status::IOError("posix_fallocate " + SegmentPath(seq) + ": " +
+                               std::strerror(rc));
+      }
+      seg->allocated = grown;
+    }
     const char* p = static_cast<const char*>(data);
     size_t done = 0;
     while (done < n) {
-      const ssize_t w = ::write(fd, p + done, n - done);
+      const ssize_t w = ::pwrite(seg->fd, p + done, n - done,
+                                 static_cast<off_t>(seg->end + done));
       if (w < 0) {
         if (errno == EINTR) continue;
-        return Status::IOError(Errno("write " + SegmentPath(seq)));
+        return Status::IOError(Errno("pwrite " + SegmentPath(seq)));
       }
       done += static_cast<size_t>(w);
     }
+    seg->end = need;
     return Status::OK();
   }
 
   Status Sync(uint64_t seq) override {
-    int fd = -1;
-    SWST_RETURN_IF_ERROR(GetFd(seq, &fd));
-    if (::fdatasync(fd) != 0) {
+    OpenSegment* seg = nullptr;
+    SWST_RETURN_IF_ERROR(Find(seq, &seg));
+    if (::fdatasync(seg->fd) != 0) {
       return Status::IOError(Errno("fdatasync " + SegmentPath(seq)));
     }
     return Status::OK();
@@ -244,20 +284,20 @@ class DirWalStore final : public WalStore {
   void CloseCached(uint64_t seq) {
     auto it = fds_.find(seq);
     if (it != fds_.end()) {
-      ::close(it->second);
+      ::close(it->second.fd);
       fds_.erase(it);
     }
   }
 
-  Status GetFd(uint64_t seq, int* out) {
+  /// Appends and syncs go only to segments this store created: `Wal`
+  /// rotates to a fresh segment on open, so it never writes an old one.
+  Status Find(uint64_t seq, OpenSegment** out) {
     auto it = fds_.find(seq);
     if (it == fds_.end()) {
-      int fd = ::open(SegmentPath(seq).c_str(),
-                      O_WRONLY | O_APPEND | O_CLOEXEC);
-      if (fd < 0) return Status::IOError(Errno("open " + SegmentPath(seq)));
-      it = fds_.emplace(seq, fd).first;
+      return Status::InvalidArgument("wal segment " + std::to_string(seq) +
+                                     " was not created by this store");
     }
-    *out = it->second;
+    *out = &it->second;
     return Status::OK();
   }
 
@@ -271,7 +311,7 @@ class DirWalStore final : public WalStore {
   }
 
   std::string dir_;
-  std::map<uint64_t, int> fds_;  ///< Append/sync fd cache.
+  std::map<uint64_t, OpenSegment> fds_;  ///< Created segments by seq.
 };
 
 }  // namespace
@@ -437,21 +477,21 @@ Result<Lsn> Wal::Append(WalRecordType type, const void* payload,
   hdr.reserved = 0;
   hdr.crc = FrameCrc(hdr, payload);
 
-  std::vector<char> frame(sizeof(hdr) + len);
-  std::memcpy(frame.data(), &hdr, sizeof(hdr));
-  if (len != 0) std::memcpy(frame.data() + sizeof(hdr), payload, len);
-  Status st = store_->Append(cur.seq, frame.data(), frame.size());
+  frame_.resize(sizeof(hdr) + len);
+  std::memcpy(frame_.data(), &hdr, sizeof(hdr));
+  if (len != 0) std::memcpy(frame_.data() + sizeof(hdr), payload, len);
+  Status st = store_->Append(cur.seq, frame_.data(), frame_.size());
   if (!st.ok()) {
     append_broken_ = true;
     return st;
   }
-  cur.bytes += frame.size();
+  cur.bytes += frame_.size();
   cur.dirty = true;
   pending_records_++;
   last_lsn_.store(hdr.lsn, std::memory_order_release);
   if (m_records_ != nullptr) {
     m_records_->Increment();
-    m_bytes_->Increment(frame.size());
+    m_bytes_->Increment(frame_.size());
   }
   return hdr.lsn;
 }
@@ -504,7 +544,9 @@ Result<WalReplayResult> Wal::ReplayLocked(Lsn from, const ReplayFn& fn) {
     }
     out.segments_scanned++;
     const std::vector<char>& data = *bytes;
-    if (data.empty()) continue;  // Creation survived, header did not.
+    if (AllZero(data.data(), data.size())) {
+      continue;  // Creation (and preallocation) survived, header did not.
+    }
     if (data.size() < sizeof(WalSegmentHeader)) {
       // Header torn mid-write. No record can live here; later segments
       // are still scanned — LSN continuity below catches any real gap.
@@ -519,10 +561,20 @@ Result<WalReplayResult> Wal::ReplayLocked(Lsn from, const ReplayFn& fn) {
       continue;
     }
     if (seg.first_lsn == kInvalidLsn) seg.first_lsn = hdr.first_lsn;
-    seg.bytes = std::max(seg.bytes, static_cast<uint64_t>(data.size()));
 
     size_t off = sizeof(hdr);
     while (off < data.size()) {
+      const size_t head =
+          std::min(sizeof(WalRecordHeader), data.size() - off);
+      if (AllZero(data.data() + off, head)) {
+        // The preallocated tail: the segment's records end here. A
+        // non-zero byte past it is a later frame whose predecessor never
+        // reached the file, so the history is cut, not finished.
+        if (!AllZero(data.data() + off + head, data.size() - off - head)) {
+          out.torn_tail = true;
+        }
+        break;
+      }
       if (data.size() - off < sizeof(WalRecordHeader)) {
         out.torn_tail = true;  // Frame header cut.
         break;
@@ -561,6 +613,9 @@ Result<WalReplayResult> Wal::ReplayLocked(Lsn from, const ReplayFn& fn) {
       }
       off += sizeof(rec) + rec.len;
     }
+    // Bytes in use end after the last valid frame; a preallocated tail
+    // is not part of them.
+    seg.bytes = std::max(seg.bytes, static_cast<uint64_t>(off));
     if (out.torn_tail && i + 1 == segments_.size()) break;
   }
   return out;

@@ -24,10 +24,11 @@ inline constexpr Lsn kInvalidLsn = 0;
 /// \brief Byte-level backend for WAL segments: ordered named blobs that
 /// support append, per-segment sync, and whole-segment read-back.
 ///
-/// Two backends ship: a directory of `wal-<seq>.log` files (POSIX
-/// append + fdatasync, directory fsync after create/delete) and an
-/// in-memory store for tests. `FaultInjectionWalStore` decorates either
-/// with a crash/fault model (see fault_injection_wal.h).
+/// Two backends ship: a directory of `wal-<seq>.log` files (pwrite into
+/// extents preallocated `kWalExtentBytes` at a time, fdatasync, directory
+/// fsync after create/delete) and an in-memory store for tests.
+/// `FaultInjectionWalStore` decorates either with a crash/fault model (see
+/// fault_injection_wal.h).
 ///
 /// Not internally synchronized: `Wal` serializes all access under its own
 /// mutex, the same contract the pager backends have with `BufferPool`.
@@ -53,7 +54,8 @@ class WalStore {
   virtual Status Sync(uint64_t seq) = 0;
 
   /// Reads the segment's entire current content (durable + not-yet-synced,
-  /// like reading through the OS page cache).
+  /// like reading through the OS page cache). A directory segment ends in
+  /// the zero-filled rest of its last preallocated extent.
   virtual Result<std::vector<char>> ReadSegment(uint64_t seq) = 0;
 
   /// XORs `len` bytes at `offset` with 0xA5 so tests can forge bit rot and
@@ -95,6 +97,11 @@ struct WalSegmentHeader {
 static_assert(sizeof(WalSegmentHeader) == 32);
 
 inline constexpr uint64_t kWalMagic = 0x5357'5354'5741'4C31ull;  // "SWSTWAL1"
+
+/// A directory segment's file grows in preallocated extents of this size.
+/// Records after the last one read as zeros, and an all-zero frame header
+/// ends a segment's records (no valid frame has LSN 0).
+inline constexpr uint64_t kWalExtentBytes = 64 << 10;
 
 /// Logical record types logged by `SwstIndex` (payload layouts in
 /// swst_index.h). `Wal` itself treats payloads as opaque bytes.
@@ -229,6 +236,7 @@ class Wal {
   std::atomic<Lsn> durable_lsn_{0};
   uint64_t pending_records_ = 0;  ///< Appends since the last Sync.
   bool append_broken_ = false;    ///< Rotate before the next append.
+  std::vector<char> frame_;       ///< Append's frame buffer, reused.
 
   std::shared_ptr<obs::Counter> m_records_;
   std::shared_ptr<obs::Counter> m_bytes_;

@@ -811,9 +811,14 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
   const uint32_t qy_hi =
       codec_.Quantize(co.overlap.hi.y - cell_rect.lo.y, grid_.cell_height());
 
-  // The overlap on this cell's memo lattice, shared by every column trim.
+  // The overlap on this cell's memo lattice, shared by every column trim,
+  // and the corners' z fields and the last closed d-partition, shared by
+  // every column's key range.
   const IsPresentMemo::QRect memo_overlap =
       shard.memo.Quantize(local_cell, co.overlap);
+  const uint64_t z_lo = codec_.MinZ(qx_lo, qy_lo);
+  const uint64_t z_hi = codec_.MaxZ(qx_hi, qy_hi);
+  const uint32_t last_closed = codec_.d_partition_current() - 1;
 
   // One sorted, disjoint key-range list per tree slot (paper §IV-B.b).
   std::vector<KeyRange> ranges[2];
@@ -824,7 +829,7 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
       continue;  // No live tree for this column's epoch in this cell.
     }
     uint32_t n_start = col.n_partial;
-    uint32_t n_end = options_.d_partitions() - 1;  // Trees hold closed only.
+    uint32_t n_end = last_closed;  // Trees hold closed entries only.
     if (options_.use_memo &&
         shard.memo.TrimColumn(local_cell, slot, col.m_local, snap->version,
                               memo_overlap, &n_start, &n_end)) {
@@ -841,8 +846,8 @@ Status SwstIndex::SearchCell(const SpatialGrid::CellOverlap& co,
       }
     }
     KeyRange r;
-    r.lo = codec_.MinKey(field, n_start, qx_lo, qy_lo);
-    r.hi = codec_.MaxKey(field, n_end, qx_hi, qy_hi);
+    r.lo = codec_.Compose(field, n_start, z_lo);
+    r.hi = codec_.Compose(field, n_end, z_hi);
     ranges[slot].push_back(r);
   }
 

@@ -46,24 +46,21 @@ uint64_t KeyCodec::MakeKey(Timestamp s, Duration d, uint32_t qx,
 
 uint64_t KeyCodec::MinKey(uint32_t sp_field, uint32_t dp, uint32_t qx,
                           uint32_t qy) const {
-  uint64_t z = 0;
-  if (use_zcurve_) {
-    z = ZEncodeBits(qx, qy, zcurve_bits_);
-  }
-  return (static_cast<uint64_t>(sp_field) << (d_bits_ + z_bits_)) |
-         (static_cast<uint64_t>(dp) << z_bits_) | z;
+  return Compose(sp_field, dp, MinZ(qx, qy));
 }
 
 uint64_t KeyCodec::MaxKey(uint32_t sp_field, uint32_t dp, uint32_t qx,
                           uint32_t qy) const {
-  uint64_t z;
-  if (use_zcurve_) {
-    z = ZEncodeBits(qx, qy, zcurve_bits_);
-  } else {
-    z = (z_bits_ >= 64) ? ~0ULL : ((1ULL << z_bits_) - 1);
-  }
-  return (static_cast<uint64_t>(sp_field) << (d_bits_ + z_bits_)) |
-         (static_cast<uint64_t>(dp) << z_bits_) | z;
+  return Compose(sp_field, dp, MaxZ(qx, qy));
+}
+
+uint64_t KeyCodec::MinZ(uint32_t qx, uint32_t qy) const {
+  return use_zcurve_ ? ZEncodeBits(qx, qy, zcurve_bits_) : 0;
+}
+
+uint64_t KeyCodec::MaxZ(uint32_t qx, uint32_t qy) const {
+  if (use_zcurve_) return ZEncodeBits(qx, qy, zcurve_bits_);
+  return (z_bits_ >= 64) ? ~0ULL : ((1ULL << z_bits_) - 1);
 }
 
 Status SwstOptions::Validate() const {

@@ -69,6 +69,17 @@ class KeyCodec {
   uint64_t MaxKey(uint32_t sp_field, uint32_t dp, uint32_t qx,
                   uint32_t qy) const;
 
+  /// The z fields of `MinKey`/`MaxKey` alone, so a search encodes its
+  /// overlap corners once and composes one key pair per column.
+  uint64_t MinZ(uint32_t qx, uint32_t qy) const;
+  uint64_t MaxZ(uint32_t qx, uint32_t qy) const;
+
+  /// Packs the three key fields, most significant first.
+  uint64_t Compose(uint32_t sp_field, uint32_t dp, uint64_t z) const {
+    return (static_cast<uint64_t>(sp_field) << (d_bits_ + z_bits_)) |
+           (static_cast<uint64_t>(dp) << z_bits_) | z;
+  }
+
   int s_bits() const { return s_bits_; }
   int d_bits() const { return d_bits_; }
   int z_bits() const { return z_bits_; }

@@ -1,11 +1,16 @@
-// Unit tests for the write-ahead log (ISSUE satellite): record framing
-// round-trips, CRC rejection of corrupt and torn frames, segment rotation,
-// LSN monotonicity across reopen, durable-LSN semantics, and checkpoint
-// truncation — over both the in-memory and the directory-of-files store,
-// plus the fault-injection decorator's crash model.
+// Unit tests for the write-ahead log: record framing round-trips, CRC
+// rejection of corrupt and torn frames, segment rotation, LSN monotonicity
+// across reopen, durable-LSN semantics, and checkpoint truncation — over
+// both the in-memory and the directory-of-files store, plus the
+// fault-injection decorator's crash model, the directory store's
+// preallocated segment tails, and a killed writer process.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -455,6 +460,152 @@ TEST(WalTest, DirStoreCorruptionIsDetectedAfterReopen) {
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ((*wal)->last_lsn(), 3u);  // Only the prefix before the rot.
   std::filesystem::remove_all(dir);
+}
+
+/// A fresh directory for one directory-store test, removed on scope exit.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& tag)
+      : path(std::filesystem::temp_directory_path() /
+             (tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::filesystem::path path;
+};
+
+uint64_t SegmentFileSize(const ScratchDir& dir, uint64_t seq) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "wal-%012llu.log",
+                static_cast<unsigned long long>(seq));
+  struct stat st;
+  if (::stat((dir.path / name).c_str(), &st) != 0) return 0;
+  return static_cast<uint64_t>(st.st_size);
+}
+
+uint64_t RoundUpToExtent(uint64_t bytes) {
+  return (bytes + kWalExtentBytes - 1) / kWalExtentBytes * kWalExtentBytes;
+}
+
+TEST(WalTest, DirStorePreallocatedTailReplaysCleanlyAfterReopen) {
+  ScratchDir dir("swst_wal_tail");
+  uint64_t seg = 0;
+  {
+    auto store = WalStore::OpenDir(dir.path.string());
+    ASSERT_TRUE(store.ok());
+    auto wal = Wal::Open(store->get());
+    ASSERT_TRUE(wal.ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(AppendStr(wal->get(), "tail-" + std::to_string(i)).ok());
+    }
+    ASSERT_OK((*wal)->Sync());
+    seg = (*wal)->current_segment();
+  }
+  // 20 small records fill a sliver of the first extent; the rest of the
+  // file is the zero tail.
+  EXPECT_EQ(SegmentFileSize(dir, seg), kWalExtentBytes);
+
+  auto store = WalStore::OpenDir(dir.path.string());
+  ASSERT_TRUE(store.ok());
+  auto wal = Wal::Open(store->get());
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ((*wal)->last_lsn(), 20u);
+  std::vector<Rec> got;
+  auto rr = Collect(wal->get(), 1, &got);
+  ASSERT_TRUE(rr.ok());
+  EXPECT_EQ(rr->records_delivered, 20u);
+  EXPECT_FALSE(rr->torn_tail);
+  EXPECT_EQ(got.back().payload, "tail-19");
+}
+
+TEST(WalTest, DirStoreByteAfterTheZeroHeaderIsATornTail) {
+  ScratchDir dir("swst_wal_forged");
+  auto store = WalStore::OpenDir(dir.path.string());
+  ASSERT_TRUE(store.ok());
+  uint64_t seg = 0;
+  {
+    auto wal = Wal::Open(store->get());
+    ASSERT_TRUE(wal.ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(AppendStr(wal->get(), "12345678").ok());
+    }
+    ASSERT_OK((*wal)->Sync());
+    seg = (*wal)->current_segment();
+  }
+  // Forge a non-zero byte past the all-zero frame header that ends the
+  // records: a later frame whose predecessor never reached the file.
+  const uint64_t end =
+      sizeof(WalSegmentHeader) + 5 * (sizeof(WalRecordHeader) + 8);
+  ASSERT_OK(store->get()->CorruptForTesting(
+      seg, end + sizeof(WalRecordHeader) + 100, 1));
+  auto wal = Wal::Open(store->get());
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ((*wal)->last_lsn(), 5u);
+  std::vector<Rec> got;
+  auto rr = Collect(wal->get(), 1, &got);
+  ASSERT_TRUE(rr.ok());
+  EXPECT_EQ(rr->records_delivered, 5u);
+  EXPECT_TRUE(rr->torn_tail);
+}
+
+TEST(WalTest, DirStoreSegmentGrowsInWholeExtents) {
+  ScratchDir dir("swst_wal_extents");
+  auto store = WalStore::OpenDir(dir.path.string());
+  ASSERT_TRUE(store.ok());
+  auto wal = Wal::Open(store->get());
+  ASSERT_TRUE(wal.ok());
+  const uint64_t seg = (*wal)->current_segment();
+  uint64_t written = sizeof(WalSegmentHeader);
+  EXPECT_EQ(SegmentFileSize(dir, seg), kWalExtentBytes);
+  const std::string payload(1000, 'x');
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(AppendStr(wal->get(), payload).ok());
+    written += sizeof(WalRecordHeader) + payload.size();
+    // Exactly the whole extents covering the bytes written: the size
+    // steps by one extent at a time and never falls behind the records.
+    ASSERT_EQ(SegmentFileSize(dir, seg), RoundUpToExtent(written))
+        << "after record " << i;
+  }
+  ASSERT_EQ((*wal)->current_segment(), seg);  // No rotation on the way.
+  EXPECT_GT(written, 4 * kWalExtentBytes);
+}
+
+TEST(WalTest, DirStoreKilledWriterKeepsEverySyncedRecord) {
+  ScratchDir dir("swst_wal_kill");
+  constexpr int kRecords = 400;
+  const std::string pad(200, 'p');  // 400 frames span two extents.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The child reports through its exit status and dies in _exit: no
+    // destructor closes a file or runs a Wal teardown.
+    auto store = WalStore::OpenDir(dir.path.string());
+    if (!store.ok()) ::_exit(2);
+    auto wal = Wal::Open(store->get());
+    if (!wal.ok()) ::_exit(3);
+    for (int i = 0; i < kRecords; ++i) {
+      if (!AppendStr(wal->get(), std::to_string(i) + pad).ok() ||
+          !(*wal)->Sync().ok()) {
+        ::_exit(4);
+      }
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  auto store = WalStore::OpenDir(dir.path.string());
+  ASSERT_TRUE(store.ok());
+  auto wal = Wal::Open(store->get());
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ((*wal)->last_lsn(), static_cast<Lsn>(kRecords));
+  std::vector<Rec> got;
+  auto rr = Collect(wal->get(), 1, &got);
+  ASSERT_TRUE(rr.ok());
+  EXPECT_EQ(rr->records_delivered, static_cast<uint64_t>(kRecords));
+  EXPECT_FALSE(rr->torn_tail);
+  EXPECT_EQ(got.back().payload, std::to_string(kRecords - 1) + pad);
 }
 
 TEST(WalTest, MetricsAreRegisteredAndCount) {

@@ -76,6 +76,9 @@ regenerate the baseline and explain the diff.
 The "wal_commit" bench gets the group-commit gate for position reports:
 the top-level "report" row must show fsyncs_per_report <= 1.0 — a
 ReportPosition (close + insert) is one acknowledgement and one commit.
+Its "dir_report" row, the same stream over a directory WAL with one
+writer, must show fsyncs_per_report == 1.0 exactly: one writer cannot
+share a sync, and must not pay two. Its timings are reported, not gated.
 
 Exit status 0 on success, 1 on any mismatch (all mismatches are listed).
 """
@@ -324,6 +327,15 @@ def check_wal_commit_gates(cur, errors):
         errors.append(
             f"report commit: {fpr:.4f} fsyncs per ReportPosition (> 1.0) — "
             f"a report's close and insert must share one group commit")
+    dir_report = cur.get("dir_report")
+    fpr = dir_report.get("fsyncs_per_report") \
+        if isinstance(dir_report, dict) else None
+    if not is_number(fpr):
+        errors.append("dir_report.fsyncs_per_report: missing or not a number")
+    elif fpr != 1.0:
+        errors.append(
+            f"directory-WAL report commit: {fpr:.4f} fsyncs per "
+            f"ReportPosition with one writer, expected exactly 1.0")
 
 
 # (list path, row identity keys, counters that must equal the baseline).
